@@ -234,12 +234,10 @@ def a_flux_jacobian(params, x, xi, delta=None):
     if np.any(zero):
         # limits at a vanishing gradient: identity blocks survive only at
         # exponent 2, everything else degenerates to zero
-        block = np.zeros((n, n))
-        if params.p == 2.0:
-            block = block + eye
+        scale = np.full(int(np.count_nonzero(zero)), float(params.p == 2.0))
         if params.q == 2.0:
-            block = block + a_rows[zero].mean() * eye
-        out[zero] = block
+            scale = scale + a_rows[zero]
+        out[zero] = scale[:, None, None] * eye
     return out[0] if single else out
 
 

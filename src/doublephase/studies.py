@@ -242,7 +242,7 @@ def equivalence_study(spec, refinements, seed=0):
         )
     return StudyTable(
         name="equivalence",
-        columns=("h", "nodes", "max_diff", "var_iterations", "visc_sweeps"),
+        columns=("h", "nodes", "max_diff", "var_iterations", "visc_iterations"),
         rows=rows,
         verdict=equivalence_verdict(rows),
         metadata=_meta(spec, seed=seed, refinements=refinements),

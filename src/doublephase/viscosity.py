@@ -6,16 +6,18 @@ The expanded operator is
                    - a(x) |eta|^(q-2) ( tr X + (q-2) <X w, w> )
                    - |eta|^(q-2) eta . grad a(x),          w = eta/|eta|,
 
-which equals -div A(x, Dphi) on smooth phi. The grid solver is a
-nonlinear Gauss-Seidel fixed point of a monotone finite-difference
-discretization: centered gradients, centered second differences, the
+which equals -div A(x, Dphi) on smooth phi. The grid solver discretizes
+it monotonically: centered gradients, centered second differences, the
 sign-adapted pair of diagonal stencils for the mixed derivative, and a
 gradient floor |eta| -> max(|eta|, h) tying regularization to
-resolution. Each nodal update solves the local equation F = eps, which
-is linear in the center value, exactly.
+resolution. It solves the scheme F = eps by a Howard-type policy
+iteration: freeze the coefficients, the mixed-stencil choice and the
+first-order term at the current field, solve the resulting M-matrix
+system, and repeat until the scheme residual of the new field is small.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,8 +51,9 @@ __all__ = [
     "DoublingResult",
 ]
 
-GS_TOL = 1e-10
-GS_MAX_SWEEPS = 100_000
+SCHEME_TOL = 1e-10
+MAX_POLICY_ITER = 500
+ROUNDING_ULPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -193,131 +196,122 @@ def _coefficient_fields(spec, allow_nonconstant):
     return a_nodes, ga_nodes
 
 
-def _laplace_init(spec, a_mean):
-    """Warm start: 5-point/3-point solve of -(1 + a) Lap u = eps."""
-    grid = spec.grid
-    g_values = spec.boundary.values_on(grid)
-    u = np.zeros(grid.n_nodes)
-    u[grid.boundary_idx] = g_values
-    interior = grid.interior_idx
-    n_int = len(interior)
-    imap = np.full(grid.n_nodes, -1, dtype=int)
-    imap[interior] = np.arange(n_int)
-    rows, cols, vals = [], [], []
-    rhs = np.full(n_int, spec.epsilon / (1.0 + a_mean))
-    if grid.dim == 1:
-        h2 = grid.spacing[0] ** 2
-        offsets = [(-1, 1.0 / h2), (1, 1.0 / h2)]
-        diag = 2.0 / h2
-        neighbor = lambda idx, off: idx + off
-    else:
-        nx = grid.shape[0]
-        hx2 = grid.spacing[0] ** 2
-        hy2 = grid.spacing[1] ** 2
-        offsets = [(-1, 1.0 / hx2), (1, 1.0 / hx2), (-nx, 1.0 / hy2), (nx, 1.0 / hy2)]
-        diag = 2.0 / hx2 + 2.0 / hy2
-        neighbor = lambda idx, off: idx + off
-    for k, i in enumerate(interior):
-        rows.append(k)
-        cols.append(k)
-        vals.append(diag)
-        for off, wgt in offsets:
-            jn = neighbor(i, off)
-            kj = imap[jn]
-            if kj >= 0:
-                rows.append(k)
-                cols.append(kj)
-                vals.append(-wgt)
-            else:
-                rhs[k] += wgt * u[jn]
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(n_int, n_int)).tocsr()
-    sol = spla.spsolve(L, rhs)
-    if not np.all(np.isfinite(sol)):
-        raise LinearSolveFailure("viscosity warm start produced non-finite values")
-    u[interior] = sol
-    return u
+class _Frozen(NamedTuple):
+    """The scheme linearized at one field: K u_int = rhs with frozen
+    coefficients, policy and first-order term; ``residual`` is F - eps of
+    that same field at every interior node."""
+
+    K: sp.csr_matrix
+    rhs: np.ndarray
+    residual: np.ndarray
 
 
-def _sweep_1d(U, h, dv, p, q, a, ga, eps):
-    """One two-color Gauss-Seidel sweep in place; returns max |update|."""
-    n = len(U)
-    worst = 0.0
-    for start in (1, 2):
-        idx = np.arange(start, n - 1, 2)
-        if len(idx) == 0:
-            continue
-        uE = U[idx + 1]
-        uW = U[idx - 1]
-        ex = (uE - uW) / (2.0 * h)
-        m = np.maximum(np.abs(ex), dv)
-        w = ex / m
-        Ap = m ** (p - 2.0)
-        Aq = a[idx] * m ** (q - 2.0)
-        Mc = Ap * (1.0 + (p - 2.0) * w * w) + Aq * (1.0 + (q - 2.0) * w * w)
-        uxx = (uE - 2.0 * U[idx] + uW) / (h * h)
-        f3 = (m ** (q - 2.0)) * ex * ga[idx, 0]
-        F = -Mc * uxx - f3
-        dF = 2.0 * Mc / (h * h)
-        step = (eps - F) / dF
-        U[idx] += step
-        worst = max(worst, float(np.max(np.abs(step))))
-    return worst
+class _Stencil:
+    """Interior 3-point (1D) or 9-point (2D) pattern of the scheme on one
+    grid, with its COO -> CSR map built once.
 
+    Row k of ``nbr`` holds the neighbor at offset k of every interior node;
+    2D offsets run SW S SE W C E NW N NE. Boundary neighbors move into the
+    right-hand side and the inactive diagonal pair stays as explicit zeros,
+    so each frozen system only fills a data array.
+    """
 
-def _sweep_2d(U2, hx, hy, dv, p, q, A2, GA2, eps):
-    """One four-color Gauss-Seidel sweep in place; returns max |update|."""
-    ny, nx = U2.shape
-    worst = 0.0
-    for sy0 in (1, 2):
-        for sx0 in (1, 2):
-            sy = slice(sy0, ny - 1, 2)
-            sx = slice(sx0, nx - 1, 2)
-            if U2[sy, sx].size == 0:
-                continue
-            syp = slice(sy0 + 1, ny, 2)
-            sym = slice(sy0 - 1, ny - 2, 2)
-            sxp = slice(sx0 + 1, nx, 2)
-            sxm = slice(sx0 - 1, nx - 2, 2)
-            uC = U2[sy, sx]
-            uE = U2[sy, sxp]
-            uW = U2[sy, sxm]
-            uN = U2[syp, sx]
-            uS = U2[sym, sx]
-            uNE = U2[syp, sxp]
-            uNW = U2[syp, sxm]
-            uSE = U2[sym, sxp]
-            uSW = U2[sym, sxm]
-            ex = (uE - uW) / (2.0 * hx)
-            ey = (uN - uS) / (2.0 * hy)
+    def __init__(self, grid):
+        self.grid = grid
+        interior = grid.interior_idx
+        n = len(interior)
+        if grid.dim == 1:
+            offsets = np.array([-1, 0, 1])
+        else:
+            nx = grid.shape[0]
+            offsets = np.array([dy * nx + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+        self.nbr = offsets[:, None] + interior[None, :]
+        imap = np.full(grid.n_nodes, -1)
+        imap[interior] = np.arange(n)
+        cols = imap[self.nbr]
+        self.inside = cols >= 0
+        rows = np.broadcast_to(np.arange(n), cols.shape)
+        nnz = int(np.count_nonzero(self.inside))
+        slots = sp.csr_matrix(
+            (np.arange(1.0, nnz + 1.0), (rows[self.inside], cols[self.inside])), shape=(n, n)
+        )
+        self._perm = slots.data.astype(int) - 1
+        self._indices = slots.indices
+        self._indptr = slots.indptr
+
+    def freeze(self, u, p, q, a, ga, dv, eps):
+        """Coefficients, cross-stencil policy and first-order term read off
+        the centered gradient of ``u``; ``a``/``ga`` are given at interior
+        nodes."""
+        grid = self.grid
+        uv = u[self.nbr]
+        W = np.empty_like(uv)
+        if grid.dim == 1:
+            h = float(grid.spacing[0])
+            ex = (uv[2] - uv[0]) / (2.0 * h)
+            m = np.maximum(np.abs(ex), dv)
+            w = ex / m
+            Ap = m ** (p - 2.0)
+            Aq = a * m ** (q - 2.0)
+            cx = (Ap * (1.0 + (p - 2.0) * w * w) + Aq * (1.0 + (q - 2.0) * w * w)) / (h * h)
+            W[0] = W[2] = -cx
+            W[1] = 2.0 * cx
+            first = (m ** (q - 2.0)) * ex * ga[:, 0]
+        else:
+            hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
+            ex = (uv[5] - uv[3]) / (2.0 * hx)
+            ey = (uv[7] - uv[1]) / (2.0 * hy)
             m = np.maximum(np.hypot(ex, ey), dv)
             wx = ex / m
             wy = ey / m
             Ap = m ** (p - 2.0)
-            Aq = A2[sy, sx] * m ** (q - 2.0)
+            Aq = a * m ** (q - 2.0)
             S = Ap + Aq
             Gam = (p - 2.0) * Ap + (q - 2.0) * Aq
-            M11 = S + Gam * wx * wx
-            M22 = S + Gam * wy * wy
+            cx = (S + Gam * wx * wx) / (hx * hx)
+            cy = (S + Gam * wy * wy) / (hy * hy)
             M12 = Gam * wx * wy
-            uxx = (uE - 2.0 * uC + uW) / (hx * hx)
-            uyy = (uN - 2.0 * uC + uS) / (hy * hy)
-            cross1 = (uNE + uSW + 2.0 * uC - uE - uW - uN - uS) / (2.0 * hx * hy)
-            cross2 = (uE + uW + uN + uS - uNW - uSE - 2.0 * uC) / (2.0 * hx * hy)
-            uxy = np.where(M12 >= 0.0, cross1, cross2)
-            L = M11 * uxx + M22 * uyy + 2.0 * M12 * uxy
-            f3 = (m ** (q - 2.0)) * (ex * GA2[sy, sx, 0] + ey * GA2[sy, sx, 1])
-            F = -L - f3
-            dF = 2.0 * M11 / (hx * hx) + 2.0 * M22 / (hy * hy) - 2.0 * np.abs(M12) / (hx * hy)
-            step = (eps - F) / dF
-            U2[sy, sx] = uC + step
-            worst = max(worst, float(np.max(np.abs(step))))
-    return worst
+            c = np.abs(M12) / (hx * hy)
+            # sign-adapted mixed difference: the NE-SW pair when M12 >= 0,
+            # the NW-SE pair otherwise, so every off-diagonal is <= 0
+            policy = M12 >= 0.0
+            W[0] = W[8] = np.where(policy, -c, 0.0)
+            W[2] = W[6] = np.where(policy, 0.0, -c)
+            W[1] = W[7] = c - cy
+            W[3] = W[5] = c - cx
+            W[4] = 2.0 * cx + 2.0 * cy - 2.0 * c
+            first = (m ** (q - 2.0)) * (ex * ga[:, 0] + ey * ga[:, 1])
+        source = eps + first
+        Wu = W * uv
+        rhs = source - np.sum(Wu, axis=0, where=~self.inside)
+        K = sp.csr_matrix((W[self.inside][self._perm], self._indices, self._indptr),
+                          shape=(len(source), len(source)))
+        return _Frozen(K, rhs, np.sum(Wu, axis=0) - source)
 
 
-def solve_viscosity(spec, tol=GS_TOL, max_sweeps=GS_MAX_SWEEPS, allow_nonconstant=False):
-    """Gauss-Seidel fixed point of the monotone scheme; (field, report).
+def _rounding_floor(frozen, u):
+    """Smallest residual max |F - eps| that rounding lets a solve of the
+    frozen system certify: a few ulps of its largest row times max |u|."""
+    scale = float(np.max(frozen.K.diagonal())) * (1.0 + float(np.max(np.abs(u))))
+    return ROUNDING_ULPS * np.finfo(float).eps * scale
 
-    The gradient floor is the grid spacing, so consistency error and
+
+def _solve_frozen(frozen, u, interior):
+    sol = spla.spsolve(frozen.K, frozen.rhs)
+    if not np.all(np.isfinite(sol)):
+        raise LinearSolveFailure("viscosity policy iteration produced non-finite values")
+    u[interior] = sol
+
+
+def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_nonconstant=False):
+    """Policy iteration on the monotone scheme; (field, report).
+
+    Each iteration freezes the coefficients, the mixed-stencil policy and
+    the first-order term at the current field and solves the resulting
+    M-matrix system. It stops once the scheme residual max |F - eps| of
+    the new field, evaluated with that field's own policy, is at most
+    ``tol`` (or the rounding floor of the frozen system, if larger). The
+    gradient floor is the grid spacing, so consistency error and
     regularization error vanish together under refinement.
     """
     if spec.obstacle is not None:
@@ -332,52 +326,44 @@ def solve_viscosity(spec, tol=GS_TOL, max_sweeps=GS_MAX_SWEEPS, allow_nonconstan
             raise ValidationError(f"strict exponent validation failed: {check.message}")
     a_nodes, ga_nodes = _coefficient_fields(spec, allow_nonconstant)
     grid = spec.grid
+    interior = grid.interior_idx
+    a, ga = a_nodes[interior], ga_nodes[interior]
     p, q = spec.params.p, spec.params.q
     dv = float(np.max(grid.spacing))
-    u = _laplace_init(spec, float(np.mean(a_nodes)))
+    eps = spec.epsilon
+    stencil = _Stencil(grid)
+    u = np.zeros(grid.n_nodes)
+    u[grid.boundary_idx] = spec.boundary.values_on(grid)
 
-    sweeps = 0
-    worst = np.inf
+    # warm start: the p = q = 2 build, i.e. -(1 + a) Lap u = eps
+    _solve_frozen(stencil.freeze(u, 2.0, 2.0, a, np.zeros_like(ga), dv, eps), u, interior)
+    frozen = stencil.freeze(u, p, q, a, ga, dv, eps)
+    residual = float(np.max(np.abs(frozen.residual)))
     history = []
-    if grid.dim == 1:
-        h = float(grid.spacing[0])
-        while sweeps < max_sweeps:
-            worst = _sweep_1d(u, h, dv, p, q, a_nodes, ga_nodes, spec.epsilon)
-            sweeps += 1
-            if sweeps <= 10 or sweeps % 100 == 0:
-                history.append(worst)
-            if worst <= tol:
-                break
-    else:
-        nx, ny = grid.shape
-        U2 = u.reshape(ny, nx)
-        A2 = a_nodes.reshape(ny, nx)
-        GA2 = ga_nodes.reshape(ny, nx, 2)
-        hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
-        while sweeps < max_sweeps:
-            worst = _sweep_2d(U2, hx, hy, dv, p, q, A2, GA2, spec.epsilon)
-            sweeps += 1
-            if sweeps <= 10 or sweeps % 100 == 0:
-                history.append(worst)
-            if worst <= tol:
-                break
-        u = U2.reshape(-1)
+    converged = False
+    while not converged and len(history) < max_iter:
+        _solve_frozen(frozen, u, interior)
+        new = stencil.freeze(u, p, q, a, ga, dv, eps)
+        residual = float(np.max(np.abs(new.residual)))
+        history.append(residual)
+        converged = residual <= max(tol, _rounding_floor(new, u))
+        frozen = new
 
     field = NodalField(grid, u)
     notes = "" if spec.params.coeff.is_constant else "experimental: non-constant coefficient"
     report = SolveReport(
-        converged=worst <= tol,
-        iterations=sweeps,
-        residual_norm=float(worst),
+        converged=converged,
+        iterations=len(history),
+        residual_norm=residual,
         energy=_p1_energy(field, spec),
         delta_schedule=(dv,),
         residual_history=tuple(history),
         method="viscosity",
         notes=notes,
     )
-    if worst > tol:
+    if not converged:
         raise NonConvergence(
-            f"Gauss-Seidel did not reach tol={tol:g} within {max_sweeps} sweeps",
+            f"policy iteration did not reach tol={tol:g} within {max_iter} iterations",
             field=field,
             report=report,
         )
@@ -393,8 +379,8 @@ def _p1_energy(field, spec):
 def local_equation(field, params, node, epsilon=0.0, dv=None):
     """(F - eps, dF/du_C, update target) of the scheme at one interior node.
 
-    Scalar mirror of the sweep formulas; used for monotonicity probes
-    and as an independent check on the vectorized solver.
+    Scalar mirror of the scheme; used for monotonicity probes and as an
+    independent check on the vectorized solver.
     """
     grid = field.grid
     if grid.boundary_mask[node]:

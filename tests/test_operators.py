@@ -120,6 +120,15 @@ class TestFluxJacobian:
         J = a_flux_jacobian(params(3.0, 4.0), X, np.zeros(2))
         np.testing.assert_allclose(J, np.zeros((2, 2)))
 
+    def test_degenerate_limit_keeps_coefficient_per_point(self):
+        # at exponent 2 each zero-gradient row carries its own (1 + a(x)) I
+        coeff = CoefficientField.analytic(
+            lambda pts: 1.0 + pts[:, 0], lambda pts: np.tile([1.0, 0.0], (pts.shape[0], 1))
+        )
+        pr = DoublePhaseParams(2.0, 2.0, coeff=coeff)
+        J = a_flux_jacobian(pr, np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2)))
+        np.testing.assert_allclose(J, [2.0 * np.eye(2), 3.0 * np.eye(2)])
+
     @pytest.mark.parametrize("p,q", REGIMES)
     def test_matches_finite_differences(self, p, q):
         # central differences of the flux, 1000 samples to relative 1e-6

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import radial_p_harmonic_jet
 
 from doublephase.errors import (
@@ -15,6 +18,7 @@ from doublephase.variational import ProblemSpec, solve_dirichlet
 from doublephase.viscosity import (
     Quadratic,
     SecondOrderJet,
+    _Stencil,
     consistency_check,
     doubling_penalty,
     generate_touching_quadratics,
@@ -86,6 +90,53 @@ class TestNondivEval:
             fx = nondiv_eval(pr, SecondOrderJet(x, eta, X))
             fy = nondiv_eval(pr, SecondOrderJet(x, eta, Y))
             assert fx >= fy - 1e-12 * max(1.0, abs(fx), abs(fy))
+
+
+@st.composite
+def frozen_cases(draw):
+    """A random field on a small 1D or 2D grid with square cells, and
+    (p, q, a, eps) from the monotone regimes p, q in [1.5, 3]."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(3, 12 if dim == 1 else 8))
+    grid = Grid((n,) * dim)
+    values = draw(hnp.arrays(float, grid.n_nodes, elements=st.floats(-2.0, 2.0)))
+    p, q = sorted(draw(st.lists(st.floats(1.5, 3.0), min_size=2, max_size=2)))
+    a0 = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        coeff = CoefficientField.constant(a0)
+    else:
+        coeff = CoefficientField.analytic(
+            lambda pts: a0 + 0.25 * pts[:, 0],
+            lambda pts: np.column_stack([np.full(len(pts), 0.25)] + [np.zeros(len(pts))] * (dim - 1)),
+        )
+    eps = draw(st.floats(-1.0, 1.0))
+    return NodalField(grid, values), DoublePhaseParams(p, q, coeff=coeff), eps
+
+
+class TestFrozenSystem:
+    @settings(max_examples=80, deadline=None)
+    @given(frozen_cases())
+    def test_m_matrix_agreeing_with_local_equation(self, case):
+        field, pr, eps = case
+        grid = field.grid
+        interior = grid.interior_idx
+        pts = grid.coords[interior]
+        frozen = _Stencil(grid).freeze(
+            field.values, pr.p, pr.q, pr.coeff.value(pts), pr.coeff.grad_value(pts),
+            float(np.max(grid.spacing)), eps,
+        )
+        K = frozen.K.toarray()
+        diag = np.diag(K)
+        assert np.all(diag > 0.0)
+        assert np.all(K - np.diag(diag) <= 0.0)
+        assert np.all(K.sum(axis=1) >= -1e-12 * diag)
+        scheme = K @ field.values[interior] - frozen.rhs
+        np.testing.assert_allclose(frozen.residual, scheme, rtol=0.0,
+                                   atol=1e-12 * (1.0 + float(np.max(diag)) * 2.0))
+        for k, node in enumerate(interior):
+            res, dF, _tgt = local_equation(field, pr, node, epsilon=eps)
+            assert abs(scheme[k] - res) <= 1e-12 * (1.0 + dF * float(np.max(np.abs(field.values))))
+            assert diag[k] == pytest.approx(dF, rel=1e-12)
 
 
 class TestConsistency:
@@ -233,6 +284,45 @@ class TestSolver:
         u2, _ = solve_viscosity(spec)
         np.testing.assert_array_equal(u1.values, u2.values)
 
+    @pytest.mark.parametrize("p,q,a0", [(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)])
+    def test_stopping_contract(self, p, q, a0):
+        # the acceptance regimes: iteration count flat in the mesh, and the
+        # reported residual is the scheme residual of the returned field
+        pr = const_params(p, q, a0)
+        bd = BoundaryData.from_callable(
+            lambda pts: 0.5 * pts[:, 0] + 0.3 * pts[:, 1]
+            + 0.2 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
+        )
+        for n in (17, 33, 65):
+            g = Grid((n, n))
+            u, rep = solve_viscosity(ProblemSpec(grid=g, params=pr, boundary=bd))
+            assert rep.converged
+            assert rep.iterations <= 25
+            assert len(rep.residual_history) == rep.iterations
+            assert rep.residual_history[-1] == rep.residual_norm
+            local = np.array([local_equation(u, pr, node)[:2] for node in g.interior_idx])
+            recomputed = float(np.max(np.abs(local[:, 0])))
+            # a few ulps of the largest row: the two evaluations differ by rounding only
+            rounding = 4.0 * np.finfo(float).eps * float(np.max(local[:, 1])) * (
+                1.0 + float(np.max(np.abs(u.values)))
+            )
+            assert abs(rep.residual_norm - recomputed) <= rounding
+            assert recomputed <= 1e-9
+
+    def test_symmetric_data_stops_on_residual(self):
+        # on the symmetry line y = 1/2 the centered y-difference is +-rounding,
+        # so the mixed-stencil choice there flips between iterations; the
+        # stop rests on the scheme residual alone
+        g = Grid((33, 33))
+        pr = const_params(2.5, 3.0, a0=1.0)
+        spec = ProblemSpec(
+            grid=g, params=pr,
+            boundary=BoundaryData.from_callable(lambda pts: np.sin(2 * np.pi * pts[:, 0])),
+        )
+        u, rep = solve_viscosity(spec)
+        assert rep.iterations <= 25
+        assert max(abs(local_equation(u, pr, node)[0]) for node in g.interior_idx) <= 1e-9
+
     def test_nonconvergence_carries_partial_state(self):
         g = Grid((33, 33))
         spec = ProblemSpec(
@@ -240,7 +330,7 @@ class TestSolver:
             boundary=BoundaryData.from_callable(lambda pts: np.sin(2 * np.pi * pts[:, 0])),
         )
         with pytest.raises(NonConvergence) as info:
-            solve_viscosity(spec, max_sweeps=2)
+            solve_viscosity(spec, max_iter=2)
         assert info.value.field is not None
         assert info.value.report.iterations == 2
 
