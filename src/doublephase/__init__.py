@@ -70,6 +70,7 @@ from .viscosity import (
     DoublingResult,
     Quadratic,
     SecondOrderJet,
+    TouchingQuadratic,
     TouchReport,
     consistency_check,
     doubling_penalty,

@@ -431,8 +431,9 @@ def approximation_sequence(spec, lsc_target, levels):
     """Increasing smooth obstacles below a target, each solved.
 
     Obstacles are quadratic inf-convolution envelopes of the target at
-    geometrically shrinking radii, so psi_1 <= ... <= psi_k <= target;
-    returns a list of (psi_field, solution_field) pairs.
+    geometrically shrinking radii, so psi_1 <= ... <= psi_k <= target,
+    each computed exactly one grid axis at a time; returns a list of
+    (psi_field, solution_field) pairs.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -450,10 +451,7 @@ def approximation_sequence(spec, lsc_target, levels):
     scale = max(osc, 1e-8)
     r_start = diam * diam / (2.0 * scale)
     r_end = (2.0 * h) ** 2 / (2.0 * scale)
-    if levels == 1:
-        radii = [r_end]
-    else:
-        radii = list(np.geomspace(r_start, r_end, levels))
+    radii = [r_end] if levels == 1 else list(np.geomspace(r_start, r_end, levels))
 
     out = []
     for radius in radii:
@@ -465,14 +463,14 @@ def approximation_sequence(spec, lsc_target, levels):
     return out
 
 
-def _quadratic_lower_envelope(grid, target, radius, chunk=512):
-    """min_m [ target_m + |x - x_m|^2 / (2 radius) ] at every node."""
-    coords = grid.coords
-    n = coords.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        d2 = np.sum(diff * diff, axis=2)
-        out[start:stop] = np.min(target[None, :] + d2 / (2.0 * radius), axis=1)
-    return out
+def _quadratic_lower_envelope(grid, target, radius):
+    """min_m [ target_m + |x - x_m|^2 / (2 radius) ] at every node, taken
+    along x in each row and then along y (the squared distance splits
+    over the axes); the self term adds exactly 0, so it stays <= target."""
+    vals = target.reshape(grid.shape[::-1])
+    stride = 1
+    for d, n in enumerate(grid.shape):
+        pts = grid.coords[: stride * n : stride, d]
+        vals = np.min(vals[..., None, :] + (pts[:, None] - pts) ** 2 / (2.0 * radius), axis=-1).T
+        stride *= n
+    return vals.reshape(-1)

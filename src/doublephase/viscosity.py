@@ -40,6 +40,7 @@ __all__ = [
     "SecondOrderJet",
     "TouchReport",
     "Quadratic",
+    "TouchingQuadratic",
     "touching_quadratic",
     "nondiv_eval",
     "consistency_check",
@@ -109,19 +110,17 @@ class Quadratic:
         return SecondOrderJet(x, self.gradient(x), self.hessian(x))
 
 
-def touching_quadratic(x0, u0, b, curvature):
-    """phi(x) = u0 + b.(x - x0) - (curvature/2) |x - x0|^2 as a Quadratic."""
-    x0 = np.asarray(x0, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = len(x0)
-    quad = -curvature * np.eye(n)
-    lin = b + curvature * x0
-    const = u0 - b @ x0 - 0.5 * curvature * (x0 @ x0)
-    out = Quadratic(const, lin, quad)
-    out.x0 = x0
-    out.slope = b
-    out.curvature = float(curvature)
-    return out
+class TouchingQuadratic(Quadratic):
+    """phi(x) = u0 + b.(x - x0) - (curvature/2) |x - x0|^2 with slope = b."""
+
+    def __init__(self, x0, u0, b, curvature):
+        self.x0 = x0 = np.asarray(x0, dtype=float)
+        self.slope = b = np.asarray(b, dtype=float)
+        self.curvature = k = float(curvature)
+        super().__init__(u0 - b @ x0 - 0.5 * k * (x0 @ x0), b + k * x0, -k * np.eye(len(x0)))
+
+
+touching_quadratic = TouchingQuadratic
 
 
 def nondiv_eval(params, jet):
@@ -510,10 +509,8 @@ def generate_touching_quadratics(field, x0, count, rng=None):
         if np.linalg.norm(b) <= 1e-13 * (1.0 + slope_scale):
             continue
         gap = u0 - u + diff_all @ b + margin
-        curvature = float(np.max(2.0 * gap / d2))
-        curvature = max(curvature, margin)
-        phi = touching_quadratic(p0, u0, b, curvature)
-        out.append(phi)
+        curvature = max(float(np.max(2.0 * gap / d2)), margin)
+        out.append(TouchingQuadratic(p0, u0, b, curvature))
     if not out:
         raise NoTouchFound(f"no nonzero touching slope at node {x0}")
     return out
@@ -588,15 +585,18 @@ class DoublingResult:
     sigma: float
 
 
-def doubling_penalty(u, v, j, s, sigma=0.5, params=None, chunk=256):
-    """Exhaustive maximization of the doubled-variables penalty function.
+def doubling_penalty(u, v, j, s, sigma=0.5, params=None):
+    """Exact maximization of the doubled-variables penalty function.
 
-    Ties break to the lexicographically smallest (x index, y index).
-    The exponent must satisfy s > max{2, p/(p-1), q/(q-1)} (the last
-    two only when params are supplied).
+    A maximizer has (j/s)|x - y|^s <= max u - min v - max(u - v), so only
+    row offsets dj within that radius (widened against rounding) are
+    searched; per dj the penalty is built once over the x pairs and
+    maximized over its rows in one broadcast. Ties break to the
+    lexicographically smallest (x index, y index). Requires
+    s > max{2, p/(p-1), q/(q-1)} (the last two only when params are given).
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0.0 and j > 0.0):
+        raise ValueError("sigma and j must be positive")
     lower = 2.0
     if params is not None:
         lower = max(lower, params.p / (params.p - 1.0), params.q / (params.q - 1.0))
@@ -605,33 +605,33 @@ def doubling_penalty(u, v, j, s, sigma=0.5, params=None, chunk=256):
     if not u.grid.compatible_with(v.grid):
         raise GridMismatch("penalty requires both fields on one grid")
     coords = u.grid.coords
-    n = coords.shape[0]
-    uv = u.values
-    vv = v.values
-    best = -np.inf
-    best_ix = best_iy = 0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        block = uv[start:stop, None] - vv[None, :] - (j / s) * dist ** s
-        flat = int(np.argmax(block))
-        val = float(block.reshape(-1)[flat])
-        if val > best:
-            best = val
-            best_ix = start + flat // n
-            best_iy = flat % n
+    nx = u.grid.shape[0]
+    ny = u.grid.n_nodes // nx
+    uv, vv = u.values.reshape(ny, nx), v.values.reshape(ny, nx)
+    xs, ys = coords[:nx, 0], coords[::nx, -1]
+    dx2 = (xs[:, None] - xs) ** 2
+    diag, top = float(np.max(u.values - v.values)), float(np.max(u.values) - np.min(v.values))
+    ulps = 4.0 * np.finfo(float).eps  # slack for rounding of values and coordinates
+    radius = (s * (top - diag + ulps * (abs(top) + abs(diag))) / j) ** (1.0 / s) * (1.0 + 1e-9)
+    rows = int(min(ny - 1, (radius + ulps * float(np.max(np.abs(coords)))) // u.grid.spacing[-1]))
+    best, best_ix, best_iy = -np.inf, 0, 0
+    for dj in range(-rows, rows + 1):
+        iy = np.arange(max(0, -dj), ny - max(0, dj))
+        dys = ys[iy] - ys[iy + dj]
+        for dy in np.unique(dys):  # rounding of the coordinates may split the rows
+            sel = iy[dys == dy]
+            block = uv[sel, :, None] - vv[sel + dj, None, :]
+            block -= (j / s) * np.sqrt(dx2 + dy * dy) ** s
+            r, ix, kx = np.unravel_index(np.argmax(block), block.shape)
+            cand = (int(sel[r] * nx + ix), int((sel[r] + dj) * nx + kx))
+            if block[r, ix, kx] > best or (block[r, ix, kx] == best and cand < (best_ix, best_iy)):
+                best, (best_ix, best_iy) = float(block[r, ix, kx]), cand
     d = float(np.linalg.norm(coords[best_ix] - coords[best_iy]))
     return DoublingResult(
-        x_index=best_ix,
-        y_index=best_iy,
-        x=coords[best_ix].copy(),
-        y=coords[best_iy].copy(),
-        psi_max=best,
-        separation=d,
+        x_index=best_ix, y_index=best_iy,
+        x=coords[best_ix].copy(), y=coords[best_iy].copy(),
+        psi_max=best, separation=d,
         decay_bound=j * d ** (s - 1.0),
         vanish_term=j * d ** (s - 1.0 + sigma),
-        j=float(j),
-        s=float(s),
-        sigma=float(sigma),
+        j=float(j), s=float(s), sigma=float(sigma),
     )

@@ -108,3 +108,20 @@ def quartic_harmonic(pts):
     x = pts[:, 0]
     y = pts[:, 1]
     return x**4 - 6.0 * x**2 * y**2 + y**4
+
+
+def quadratic_lower_envelope(coords, target, radius):
+    """min_m [ target_m + |x - x_m|^2 / (2 radius) ] by brute force over
+    all node pairs."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    return np.min(target[None, :] + d2 / (2.0 * radius), axis=1)
+
+
+def doubling_maximizer(coords, u, v, j, s):
+    """(x_index, y_index, Psi) maximizing Psi = u(x) - v(y) - (j/s)|x - y|^s
+    by exhaustive search; ties go to the lexicographically smallest pair."""
+    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    psi = u[:, None] - v[None, :] - (j / s) * dist ** s
+    flat = int(np.argmax(psi))
+    return flat // len(v), flat % len(v), float(psi.reshape(-1)[flat])

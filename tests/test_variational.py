@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from oracles import flux_inversion_solution, lowered_parabola_obstacle_solution
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import (
+    flux_inversion_solution,
+    lowered_parabola_obstacle_solution,
+    quadratic_lower_envelope,
+)
 
 from doublephase.errors import InfeasibleObstacle, ValidationError
 from doublephase.grids import BoundaryData, Grid, NodalField, interpolate
@@ -8,6 +15,7 @@ from doublephase.operators import CoefficientField, DoublePhaseParams
 from doublephase.orlicz import gradient_modular
 from doublephase.variational import (
     ProblemSpec,
+    _quadratic_lower_envelope,
     approximation_sequence,
     complementarity_summary,
     energy,
@@ -325,6 +333,24 @@ class TestSolveObstacle:
         assert np.max(sols[1] - sols[2]) <= 1e-9
 
 
+@st.composite
+def envelope_cases(draw):
+    """A random or constant target on a random 1D, square, non-square or
+    shifted grid, and a radius in [1e-4, 10]."""
+    dim = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(3, 40 if dim == 1 else 12)) for _ in range(dim))
+    lower = extent = None
+    if draw(st.booleans()):
+        lower = [draw(st.floats(-50.0, 50.0)) for _ in range(dim)]
+        extent = [draw(st.floats(0.1, 10.0)) for _ in range(dim)]
+    grid = Grid(shape, lower=lower, extent=extent)
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    target = draw(hnp.arrays(float, grid.n_nodes, elements=st.floats(-scale, scale)))
+    if draw(st.booleans()):
+        target = np.full(grid.n_nodes, target[0])
+    return grid, target, 10.0 ** draw(st.floats(-4.0, 1.0))
+
+
 class TestApproximationSequence:
     def test_single_level_reduces_to_obstacle_solve(self):
         g = Grid((33,))
@@ -366,3 +392,15 @@ class TestApproximationSequence:
             prev = u_j
             dists.append(gradient_modular(target - u_j, params))
         assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(envelope_cases())
+    def test_matches_pairwise_minimum(self, case):
+        grid, target, radius = case
+        env = _quadratic_lower_envelope(grid, target, radius)
+        assert np.all(env <= target)
+        expected = quadratic_lower_envelope(grid.coords, target, radius)
+        # every partial sum at a minimizer lies in [min t, max t], so both
+        # summation orders round within a few ulps of the largest |t|
+        ulps = 4.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(target))))
+        np.testing.assert_allclose(env, expected, rtol=0.0, atol=ulps)
