@@ -421,21 +421,16 @@ def run(config):
     os.makedirs(config.output_dir, exist_ok=True)
     base = os.path.join(config.output_dir, config.prefix)
     try:
-        if config.command == "solve-var":
-            kwargs = {}
-            if config.tolerances["newton"] is not None:
-                kwargs["newton_tol"] = config.tolerances["newton"]
-            field, report = solve_dirichlet(config.spec, **kwargs)
-        elif config.command == "solve-obstacle":
-            kwargs = {}
-            if config.tolerances["newton"] is not None:
-                kwargs["newton_tol"] = config.tolerances["newton"]
-            field, report = solve_obstacle(config.spec, **kwargs)
-        elif config.command == "solve-visc":
-            kwargs = {}
-            if config.tolerances["gauss_seidel"] is not None:
-                kwargs["tol"] = config.tolerances["gauss_seidel"]
-            field, report = solve_viscosity(config.spec, **kwargs)
+        # command -> (solver, [tolerances] key, solver keyword), looked up per call
+        solvers = {
+            "solve-var": (solve_dirichlet, "newton", "newton_tol"),
+            "solve-obstacle": (solve_obstacle, "newton", "newton_tol"),
+            "solve-visc": (solve_viscosity, "gauss_seidel", "tol"),
+        }
+        if config.command in solvers:
+            solver, key, keyword = solvers[config.command]
+            tol = config.tolerances[key]
+            field, report = solver(config.spec, **({} if tol is None else {keyword: tol}))
         elif config.command and config.command.startswith("study:"):
             return _run_study(config, base)
         else:

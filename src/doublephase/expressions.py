@@ -47,12 +47,7 @@ def _tokenize(text):
     return out
 
 
-class _Node:
-    def simplified(self):
-        return self
-
-
-class _Num(_Node):
+class _Num:
     def __init__(self, value):
         self.value = float(value)
 
@@ -69,7 +64,7 @@ class _Num(_Node):
         return format(self.value, "g")
 
 
-class _Var(_Node):
+class _Var:
     def __init__(self, axis):
         self.axis = axis
 
@@ -88,7 +83,7 @@ class _Var(_Node):
         return "xy"[self.axis]
 
 
-class _Bin(_Node):
+class _Bin:
     def __init__(self, left, right):
         self.left = left
         self.right = right
@@ -133,7 +128,7 @@ class _Mul(_Bin):
         return f"({self.left.text()} * {self.right.text()})"
 
 
-class _Neg(_Node):
+class _Neg:
     def __init__(self, arg):
         self.arg = arg
 
@@ -150,7 +145,7 @@ class _Neg(_Node):
         return f"(-{self.arg.text()})"
 
 
-class _Pow(_Node):
+class _Pow:
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = float(exponent)
@@ -182,7 +177,7 @@ class _Pow(_Node):
         return f"({self.base.text()}^{self.exponent:g})"
 
 
-class _Fun(_Node):
+class _Fun:
     def __init__(self, name, arg):
         self.name = name
         self.arg = arg

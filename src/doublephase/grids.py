@@ -4,10 +4,12 @@ Nodes are ordered row-major with x fastest: node (ix, iy) has flat index
 ``iy * nx + ix``. Every 2D cell is split into two triangles along the
 lower-left to upper-right diagonal, so assembly is deterministic and
 orientation-consistent. Elements carry precomputed measures, centroids
-and P1 gradient coefficients.
+and P1 gradient coefficients. :class:`InteriorPattern` holds the sparse
+structure, over the interior nodes, that both solvers assemble into.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CountMismatch, GridMismatch, InvalidField, MalformedHeader
 
@@ -159,6 +161,34 @@ class Grid:
         return f"Grid(shape={self.shape}, lower={tuple(self.lower)}, extent={tuple(self.extent)})"
 
 
+class InteriorPattern:
+    """CSR structure, over the interior nodes of ``grid`` in
+    ``grid.interior_idx`` order, of a fixed list of (row, col) node pairs.
+
+    The structure is built once; pairs that touch a boundary node are
+    dropped. :meth:`fill` takes one value per pair, in the order given,
+    sums the values of repeated pairs and returns the matrix.
+    """
+
+    def __init__(self, grid, rows, cols):
+        n = len(grid.interior_idx)
+        pos = np.full(grid.n_nodes, -1)
+        pos[grid.interior_idx] = np.arange(n)
+        rows, cols = pos[np.ravel(rows)], pos[np.ravel(cols)]
+        self.keep = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique(rows[self.keep] * n + cols[self.keep], return_inverse=True)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+        # scipy picks the index dtype once; every fill shares these arrays
+        self.template = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
+        # a slot indexes the stored entries, so the index dtype holds it too
+        self.slot = slot.astype(self.template.indices.dtype)
+
+    def fill(self, values):
+        K = self.template
+        data = np.bincount(self.slot, weights=np.ravel(values)[self.keep], minlength=K.nnz)
+        return sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+
+
 class NodalField:
     """One finite real value per grid node."""
 
@@ -181,9 +211,6 @@ class NodalField:
 
     def __sub__(self, other):
         return NodalField(self.grid, self.values - _aligned_values(self, other))
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.values)))
 
 
 def _aligned_values(field, other):

@@ -60,10 +60,6 @@ class CoefficientField:
     def is_constant(self):
         return self.kind == "constant"
 
-    @property
-    def has_gradient(self):
-        return self.is_constant or self._grad is not None
-
     def value(self, x):
         """a at points x, checked nonnegative; shape (m,) for x (m, n)."""
         x = np.asarray(x, dtype=float)

@@ -10,10 +10,11 @@ energies use delta = 0. The obstacle variant runs a primal active set
 around the same Newton loop and exposes the complementarity structure.
 """
 
+from copy import copy
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     NonConvergence,
     ValidationError,
 )
-from .grids import NodalField, interpolate
+from .grids import InteriorPattern, NodalField, interpolate
 from .operators import validate_exponents
 
 __all__ = [
@@ -102,7 +103,7 @@ class _Assembler:
     def __init__(self, spec):
         grid = spec.grid
         self.grid = grid
-        self.params = spec.params
+        self.p, self.q = spec.params.p, spec.params.q
         self.epsilon = spec.epsilon
         self.conn = grid.elements
         self.gcoef = grid.grad_coeffs
@@ -115,11 +116,22 @@ class _Assembler:
         np.add.at(load, self.conn, np.repeat(self.weights[:, None] / k, k, axis=1))
         self.load = load
 
+    @cached_property
+    def pattern(self):
+        """The P1 graph: node pair (conn[e, k], conn[e, l]) of every element,
+        in the order of the (e, k, l) element matrices."""
+        k = self.conn.shape[1]
+        return InteriorPattern(self.grid, np.repeat(self.conn, k, axis=1), np.tile(self.conn, (1, k)))
+
+    @cached_property
+    def gram(self):
+        return np.einsum("eki,eli->ekl", self.gcoef, self.gcoef)
+
     def gradients(self, values):
         return np.einsum("eki,ek->ei", self.gcoef, values[self.conn])
 
     def energy(self, values, delta):
-        p, q = self.params.p, self.params.q
+        p, q = self.p, self.q
         G = self.gradients(values)
         m = np.sqrt(np.sum(G * G, axis=1) + delta * delta)
         dens = m ** p / p + self.a_e * m ** q / q
@@ -129,7 +141,7 @@ class _Assembler:
         return e
 
     def residual_full(self, values, delta):
-        p, q = self.params.p, self.params.q
+        p, q = self.p, self.q
         G = self.gradients(values)
         m2 = np.sum(G * G, axis=1) + delta * delta
         m = np.sqrt(m2)
@@ -142,8 +154,10 @@ class _Assembler:
         np.add.at(r, self.conn, contrib)
         return r - self.epsilon * self.load
 
-    def jacobian(self, values, delta, free_map, n_free):
-        p, q = self.params.p, self.params.q
+    def jacobian(self, values, delta, keep=None):
+        """Newton matrix over the interior nodes; ``keep`` (positions in
+        ``grid.interior_idx``) restricts it to those rows and columns."""
+        p, q = self.p, self.q
         G = self.gradients(values)
         m2 = np.sum(G * G, axis=1) + delta * delta
         m = np.sqrt(m2)
@@ -151,21 +165,13 @@ class _Assembler:
         fq = self.a_e * m ** (q - 2.0)
         s1 = fp + fq
         s2 = ((p - 2.0) * fp + (q - 2.0) * fq) / m2
-        gram = np.einsum("eki,eli->ekl", self.gcoef, self.gcoef)
         d = np.einsum("eki,ei->ek", self.gcoef, G)
         B = self.weights[:, None, None] * (
-            s1[:, None, None] * gram
+            s1[:, None, None] * self.gram
             + s2[:, None, None] * d[:, :, None] * d[:, None, :]
         )
-        k = self.conn.shape[1]
-        rows = free_map[np.repeat(self.conn, k, axis=1).reshape(-1)]
-        cols = free_map[np.tile(self.conn, (1, k)).reshape(-1)]
-        vals = B.reshape(-1)
-        keep = (rows >= 0) & (cols >= 0)
-        K = sp.coo_matrix(
-            (vals[keep], (rows[keep], cols[keep])), shape=(n_free, n_free)
-        )
-        return K.tocsr()
+        K = self.pattern.fill(B)
+        return K if keep is None else K[keep][:, keep]
 
 
 def energy(field, spec, delta=0.0):
@@ -197,41 +203,28 @@ def _strict_gate(spec):
             raise ValidationError(f"strict exponent validation failed: {check.message}")
 
 
-def _initial_values(spec, asm, g_values):
-    """Warm start from the linear (p = q = 2) surrogate problem."""
-    grid = spec.grid
+def _initial_values(asm, g_values):
+    """Warm start: the minimizer of the Dirichlet energy with the same load,
+    -Lap u = eps in P1 form, reached by one Newton step from the boundary
+    data with this assembler at p = q = 2, a = 0. At delta = 1 every
+    modulus is >= 1, so the flux factor is exactly 1 and the Newton matrix
+    is the P1 stiffness matrix."""
+    grid = asm.grid
     u = np.zeros(grid.n_nodes)
     u[grid.boundary_idx] = g_values
-    free_map = np.full(grid.n_nodes, -1, dtype=int)
-    free_map[grid.interior_idx] = np.arange(len(grid.interior_idx))
-    k = grid.elements.shape[1]
-    gram = np.einsum("eki,eli->ekl", grid.grad_coeffs, grid.grad_coeffs)
-    B = grid.element_measures[:, None, None] * gram
-    rows = free_map[np.repeat(grid.elements, k, axis=1).reshape(-1)]
-    cols = free_map[np.tile(grid.elements, (1, k)).reshape(-1)]
-    vals = B.reshape(-1)
-    n_free = len(grid.interior_idx)
-    keep = (rows >= 0) & (cols >= 0)
-    K = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_free, n_free)).tocsr()
-    # move boundary data to the right-hand side, add the linear source
-    r = np.zeros(grid.n_nodes)
-    contrib = np.einsum(
-        "eki,ei->ek",
-        grid.grad_coeffs,
-        np.einsum("eki,ek->ei", grid.grad_coeffs, u[grid.elements]),
-    ) * grid.element_measures[:, None]
-    np.add.at(r, grid.elements, contrib)
-    rhs = spec.epsilon * asm.load[grid.interior_idx] - r[grid.interior_idx]
-    sol = spla.spsolve(K, rhs)
+    lin = copy(asm)  # p = q = 2, a = 0, on the solve's own pattern
+    lin.p = lin.q = 2.0
+    lin.a_e = np.zeros_like(asm.a_e)
+    lin.pattern, lin.gram = asm.pattern, asm.gram
+    sol = spla.spsolve(lin.jacobian(u, 1.0), -lin.residual_full(u, 1.0)[grid.interior_idx])
     if not np.all(np.isfinite(sol)):
         raise LinearSolveFailure("warm-start linear solve produced non-finite values")
     u[grid.interior_idx] += sol
     return u
 
 
-def _newton_stages(asm, u, free_idx, deltas, tol, history, psi=None, active=None,
-                   energies=None):
-    """Damped Newton over the free nodes, one pass per delta stage.
+def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies=None):
+    """Damped Newton over the free interior nodes, one pass per delta stage.
 
     With an obstacle, any trial value dropping below psi is pinned to it
     and the node joins the active set. Returns (u, iterations, pinned_any).
@@ -239,16 +232,14 @@ def _newton_stages(asm, u, free_idx, deltas, tol, history, psi=None, active=None
     Armijo contract makes each stage's list nonincreasing).
     """
     grid = asm.grid
-    n = grid.n_nodes
+    interior = grid.interior_idx
     pinned_any = False
     total_iters = 0
     for delta in deltas:
         stage_energies = [] if energies is not None else None
         for _ in range(STAGE_CAP):
-            if active is not None:
-                free = free_idx[~active[free_idx]]
-            else:
-                free = free_idx
+            keep = None if active is None else np.flatnonzero(~active[interior])
+            free = interior if keep is None else interior[keep]
             if len(free) == 0:
                 break
             r_full = asm.residual_full(u, delta)
@@ -256,10 +247,7 @@ def _newton_stages(asm, u, free_idx, deltas, tol, history, psi=None, active=None
             history.append(rn)
             if rn <= tol:
                 break
-            free_map = np.full(n, -1, dtype=int)
-            free_map[free] = np.arange(len(free))
-            K = asm.jacobian(u, delta, free_map, len(free))
-            d = spla.spsolve(K, -r_full[free])
+            d = spla.spsolve(asm.jacobian(u, delta, keep), -r_full[free])
             if not np.all(np.isfinite(d)):
                 raise LinearSolveFailure("Newton linear solve produced non-finite values")
             slope = float(np.dot(r_full[free], d))
@@ -315,12 +303,10 @@ def solve_dirichlet(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
     asm = _Assembler(spec)
     grid = spec.grid
     g_values = spec.boundary.values_on(grid)
-    u = _initial_values(spec, asm, g_values)
+    u = _initial_values(asm, g_values)
     history = []
     energies = []
-    u, iters, _ = _newton_stages(
-        asm, u, grid.interior_idx, deltas, newton_tol, history, energies=energies
-    )
+    u, iters, _ = _newton_stages(asm, u, deltas, newton_tol, history, energies=energies)
     rn = float(np.max(np.abs(asm.residual_full(u, deltas[-1])[grid.interior_idx])))
     field = NodalField(grid, u)
     report = SolveReport(
@@ -358,7 +344,7 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
     if np.any(psi[grid.boundary_idx] > g_values + 1e-12):
         raise InfeasibleObstacle("obstacle exceeds the boundary data on the boundary")
 
-    u = _initial_values(spec, asm, g_values)
+    u = _initial_values(asm, g_values)
     active = np.zeros(grid.n_nodes, dtype=bool)
     low = u < psi
     low[grid.boundary_idx] = False
@@ -373,8 +359,7 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
         # stages re-pins free-boundary nodes the fine-delta solution keeps
         stage_deltas = deltas if cycle == 0 else deltas[-1:]
         u, iters, pinned = _newton_stages(
-            asm, u, grid.interior_idx, stage_deltas, newton_tol, history,
-            psi=psi, active=active,
+            asm, u, stage_deltas, newton_tol, history, psi=psi, active=active
         )
         total_iters += iters
         r_full = asm.residual_full(u, deltas[-1])

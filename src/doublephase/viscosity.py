@@ -32,9 +32,9 @@ from .errors import (
     NoTouchFound,
     ValidationError,
 )
-from .grids import NodalField
+from .grids import InteriorPattern, NodalField
 from .operators import a_flux
-from .variational import SolveReport
+from .variational import SolveReport, _strict_gate, energy
 
 __all__ = [
     "SecondOrderJet",
@@ -207,36 +207,25 @@ class _Frozen(NamedTuple):
 
 class _Stencil:
     """Interior 3-point (1D) or 9-point (2D) pattern of the scheme on one
-    grid, with its COO -> CSR map built once.
+    grid, built once.
 
     Row k of ``nbr`` holds the neighbor at offset k of every interior node;
     2D offsets run SW S SE W C E NW N NE. Boundary neighbors move into the
     right-hand side and the inactive diagonal pair stays as explicit zeros,
-    so each frozen system only fills a data array.
+    so each frozen system only fills the pattern.
     """
 
     def __init__(self, grid):
         self.grid = grid
         interior = grid.interior_idx
-        n = len(interior)
         if grid.dim == 1:
             offsets = np.array([-1, 0, 1])
         else:
             nx = grid.shape[0]
             offsets = np.array([dy * nx + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
         self.nbr = offsets[:, None] + interior[None, :]
-        imap = np.full(grid.n_nodes, -1)
-        imap[interior] = np.arange(n)
-        cols = imap[self.nbr]
-        self.inside = cols >= 0
-        rows = np.broadcast_to(np.arange(n), cols.shape)
-        nnz = int(np.count_nonzero(self.inside))
-        slots = sp.csr_matrix(
-            (np.arange(1.0, nnz + 1.0), (rows[self.inside], cols[self.inside])), shape=(n, n)
-        )
-        self._perm = slots.data.astype(int) - 1
-        self._indices = slots.indices
-        self._indptr = slots.indptr
+        self.inside = ~grid.boundary_mask[self.nbr]
+        self.pattern = InteriorPattern(grid, np.broadcast_to(interior, self.nbr.shape), self.nbr)
 
     def freeze(self, u, p, q, a, ga, dv, eps):
         """Coefficients, cross-stencil policy and first-order term read off
@@ -283,9 +272,7 @@ class _Stencil:
         source = eps + first
         Wu = W * uv
         rhs = source - np.sum(Wu, axis=0, where=~self.inside)
-        K = sp.csr_matrix((W[self.inside][self._perm], self._indices, self._indptr),
-                          shape=(len(source), len(source)))
-        return _Frozen(K, rhs, np.sum(Wu, axis=0) - source)
+        return _Frozen(self.pattern.fill(W), rhs, np.sum(Wu, axis=0) - source)
 
 
 def _rounding_floor(frozen, u):
@@ -317,12 +304,7 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_noncon
         raise ValidationError("the viscosity solver has no obstacle support")
     if spec.boundary is None:
         raise ValidationError("solve_viscosity needs boundary data")
-    if spec.strict_validation:
-        from .operators import validate_exponents
-
-        check = validate_exponents(spec.params, spec.grid.dim, "standard")
-        if not check:
-            raise ValidationError(f"strict exponent validation failed: {check.message}")
+    _strict_gate(spec)
     a_nodes, ga_nodes = _coefficient_fields(spec, allow_nonconstant)
     grid = spec.grid
     interior = grid.interior_idx
@@ -354,7 +336,7 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_noncon
         converged=converged,
         iterations=len(history),
         residual_norm=residual,
-        energy=_p1_energy(field, spec),
+        energy=energy(field, spec, delta=0.0),
         delta_schedule=(dv,),
         residual_history=tuple(history),
         method="viscosity",
@@ -367,12 +349,6 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_noncon
             report=report,
         )
     return field, report
-
-
-def _p1_energy(field, spec):
-    from .variational import energy
-
-    return energy(field, spec, delta=0.0)
 
 
 def local_equation(field, params, node, epsilon=0.0, dv=None):

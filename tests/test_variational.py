@@ -15,6 +15,7 @@ from doublephase.operators import CoefficientField, DoublePhaseParams
 from doublephase.orlicz import gradient_modular
 from doublephase.variational import (
     ProblemSpec,
+    _Assembler,
     _quadratic_lower_envelope,
     approximation_sequence,
     complementarity_summary,
@@ -114,6 +115,56 @@ class TestResidual:
             assert fd == pytest.approx(r[probe], rel=1e-6, abs=1e-10)
 
 
+@st.composite
+def newton_cases(draw):
+    """A random field on a small 1D or 2D grid, (p, q, a, delta) with
+    p <= q in [1.5, 3], and a random, possibly empty, active subset of the
+    interior (a mask over ``grid.interior_idx``)."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = Grid(tuple(draw(st.integers(3, 8)) for _ in range(dim)))
+    values = draw(hnp.arrays(float, grid.n_nodes, elements=st.floats(-1.0, 1.0)))
+    p, q = sorted(draw(st.lists(st.floats(1.5, 3.0), min_size=2, max_size=2)))
+    a0 = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        coeff = CoefficientField.constant(a0)
+    else:
+        coeff = CoefficientField.analytic(
+            lambda pts: a0 + 0.25 * pts[:, 0],
+            lambda pts: np.column_stack([np.full(len(pts), 0.25)] + [np.zeros(len(pts))] * (dim - 1)),
+        )
+    delta = draw(st.sampled_from([1e-2, 1e-4]))
+    active = draw(hnp.arrays(bool, len(grid.interior_idx)))
+    return grid, values, DoublePhaseParams(p, q, coeff=coeff), delta, active
+
+
+class TestNewtonMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(newton_cases())
+    def test_free_block_matches_finite_differences(self, case):
+        grid, values, params, delta, active = case
+        spec = ProblemSpec(grid=grid, params=params, boundary=BoundaryData.constant(0.0),
+                           epsilon=0.3)
+        asm = _Assembler(spec)
+        keep = np.flatnonzero(~active)
+        free = grid.interior_idx[keep]
+        K = asm.jacobian(values, delta, keep).toarray()
+        assert K.shape == (len(free), len(free))
+        # Every element modulus is >= delta and a nodal step moves an element
+        # gradient by at most step / h, so step = 1e-3 delta h keeps the
+        # central-difference truncation near 1e-6 of the entries, while the
+        # rounding error (eps |r| / step) stays below that. The worst seen in
+        # 600 random cases was 6e-7 of max |K|; a wrong entry is O(max |K|).
+        step = 1e-3 * delta * float(np.min(grid.spacing))
+        fd = np.empty_like(K)
+        for c, node in enumerate(free):
+            up, dn = values.copy(), values.copy()
+            up[node] += step
+            dn[node] -= step
+            fd[:, c] = (asm.residual_full(up, delta) - asm.residual_full(dn, delta))[free] / (2.0 * step)
+        scale = float(np.max(np.abs(K), initial=0.0))
+        assert np.all(np.abs(fd - K) <= 1e-5 * scale)
+
+
 class TestSolveDirichlet:
     def test_1d_linear_exact(self):
         g = Grid((129,))
@@ -121,6 +172,19 @@ class TestSolveDirichlet:
         u, rep = solve_dirichlet(spec)
         assert rep.converged
         assert np.max(np.abs(u.values - g.coords[:, 0])) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(33,), (17, 17), (33, 17)])
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_dirichlet_energy_needs_no_newton_step(self, shape, eps):
+        # at p = q = 2, a = 0 the warm start is the exact P1 solve
+        g = Grid(shape)
+        spec = ProblemSpec(
+            grid=g, params=const_params(2.0, 2.0, a0=0.0), epsilon=eps,
+            boundary=BoundaryData.from_callable(lambda pts: np.sin(3.0 * pts[:, 0]) + pts[:, -1]),
+        )
+        _, rep = solve_dirichlet(spec)
+        assert rep.iterations == 0
+        assert rep.residual_norm <= 1e-12
 
     def test_boundary_values_imposed(self):
         g = Grid((17, 17))
