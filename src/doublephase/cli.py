@@ -453,24 +453,22 @@ def _run_study(config, base):
     name = config.command.split(":", 1)[1]
     opts = config.study_options
     spec = config.spec
+    # study name -> call, looked up per call; the obstacle target defaults
+    # to the unconstrained solution
+    studies = {
+        "equivalence": lambda: equivalence_study(spec, opts["refinements"], seed=config.seed),
+        "comparison": lambda: comparison_study(spec, opts["trials"], seed=config.seed),
+        "caccioppoli": lambda: caccioppoli_study(spec, opts["cutoffs"], seed=config.seed),
+        "regularization": lambda: regularization_study(spec, opts["epsilons"], seed=config.seed),
+        "obstacle-approximation": lambda: obstacle_approximation_study(
+            spec, solve_dirichlet(spec)[0] if opts["target"] is None else opts["target"],
+            opts["levels"], seed=config.seed),
+    }
+    if name not in studies:
+        print(f"error: unknown study {name!r}", file=sys.stderr)
+        return 2
     try:
-        if name == "equivalence":
-            table = equivalence_study(spec, opts["refinements"], seed=config.seed)
-        elif name == "comparison":
-            table = comparison_study(spec, opts["trials"], seed=config.seed)
-        elif name == "caccioppoli":
-            table = caccioppoli_study(spec, opts["cutoffs"], seed=config.seed)
-        elif name == "regularization":
-            table = regularization_study(spec, opts["epsilons"], seed=config.seed)
-        elif name == "obstacle-approximation":
-            target = opts["target"]
-            if target is None:
-                u_star, _ = solve_dirichlet(spec)
-                target = u_star
-            table = obstacle_approximation_study(spec, target, opts["levels"], seed=config.seed)
-        else:
-            print(f"error: unknown study {name!r}", file=sys.stderr)
-            return 2
+        table = studies[name]()
     except ValidationError as exc:
         _print_diags(exc)
         return 2

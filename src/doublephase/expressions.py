@@ -60,9 +60,6 @@ class _Num:
     def variables(self):
         return set()
 
-    def text(self):
-        return format(self.value, "g")
-
 
 class _Var:
     def __init__(self, axis):
@@ -78,9 +75,6 @@ class _Var:
 
     def variables(self):
         return {self.axis}
-
-    def text(self):
-        return "xy"[self.axis]
 
 
 class _Bin:
@@ -99,9 +93,6 @@ class _Add(_Bin):
     def diff(self, axis):
         return _Add(self.left.diff(axis), self.right.diff(axis))
 
-    def text(self):
-        return f"({self.left.text()} + {self.right.text()})"
-
 
 class _Sub(_Bin):
     def eval(self, pts):
@@ -109,9 +100,6 @@ class _Sub(_Bin):
 
     def diff(self, axis):
         return _Sub(self.left.diff(axis), self.right.diff(axis))
-
-    def text(self):
-        return f"({self.left.text()} - {self.right.text()})"
 
 
 class _Mul(_Bin):
@@ -123,9 +111,6 @@ class _Mul(_Bin):
             _Mul(self.left.diff(axis), self.right),
             _Mul(self.left, self.right.diff(axis)),
         )
-
-    def text(self):
-        return f"({self.left.text()} * {self.right.text()})"
 
 
 class _Neg:
@@ -140,9 +125,6 @@ class _Neg:
 
     def variables(self):
         return self.arg.variables()
-
-    def text(self):
-        return f"(-{self.arg.text()})"
 
 
 class _Pow:
@@ -172,9 +154,6 @@ class _Pow:
 
     def variables(self):
         return self.base.variables()
-
-    def text(self):
-        return f"({self.base.text()}^{self.exponent:g})"
 
 
 class _Fun:
@@ -208,9 +187,6 @@ class _Fun:
 
     def variables(self):
         return self.arg.variables()
-
-    def text(self):
-        return f"{self.name}({self.arg.text()})"
 
 
 class _Parser:

@@ -162,6 +162,29 @@ def _as_batch(xi):
     return xi, False
 
 
+def _coefficient_rows(params, x, rows):
+    """a at x once per gradient row; x is one point or one point per row
+    (any other count raises ValueError)."""
+    return np.broadcast_to(params.coeff.value(np.atleast_2d(np.asarray(x, dtype=float))), (rows,))
+
+
+def flux_coefficients(p, q, a, m):
+    """S = m^(p-2) + a m^(q-2) and Gamma = (p-2) m^(p-2) + (q-2) a m^(q-2).
+
+    With w = xi/m the flux is A = S xi and its Jacobian is
+    D_xi A = S I + Gamma w w^T. Both solver routes and the operator
+    evaluations take the law from here.
+    """
+    fp = m ** (p - 2.0)
+    fq = a * m ** (q - 2.0)
+    return fp + fq, (p - 2.0) * fp + (q - 2.0) * fq
+
+
+def growth(p, q, a, t):
+    """H = t^p + a t^q at magnitudes t; the a-term is exactly 0 where a = 0."""
+    return t ** p + np.where(a > 0.0, a * t ** q, 0.0)
+
+
 def h_eval(params, x, xi):
     """Growth density |xi|^p + a(x) |xi|^q (no regularization).
 
@@ -172,8 +195,7 @@ def h_eval(params, x, xi):
     x = np.asarray(x, dtype=float)
     vector_like = xi.ndim == x.ndim and xi.shape == x.shape
     mag = np.linalg.norm(xi, axis=-1) if vector_like else np.abs(xi)
-    a = params.coeff.value(x)
-    return mag ** params.p + a * mag ** params.q
+    return growth(params.p, params.q, params.coeff.value(x), mag)
 
 
 def a_flux(params, x, xi, delta=None):
@@ -186,13 +208,11 @@ def a_flux(params, x, xi, delta=None):
     if delta is None:
         delta = params.delta
     batch, single = _as_batch(xi)
-    a = np.atleast_1d(params.coeff.value(np.atleast_2d(np.asarray(x, dtype=float))))
-    a_rows = a if a.shape == (batch.shape[0],) else np.full(batch.shape[0], a[0])
-    m2 = np.sum(batch * batch, axis=1) + delta * delta
-    m = np.sqrt(m2)
+    a = _coefficient_rows(params, x, batch.shape[0])
+    m = np.sqrt(np.sum(batch * batch, axis=1) + delta * delta)
     factor = np.zeros_like(m)
     pos = m > 0.0
-    factor[pos] = m[pos] ** (params.p - 2.0) + a_rows[pos] * m[pos] ** (params.q - 2.0)
+    factor[pos] = flux_coefficients(params.p, params.q, a[pos], m[pos])[0]
     out = factor[:, None] * batch
     return out[0] if single else out
 
@@ -202,38 +222,25 @@ def a_flux_jacobian(params, x, xi, delta=None):
 
     m^(p-2) (I + (p-2) xi xi^T / m^2) + a(x) m^(q-2) (I + (q-2) xi xi^T / m^2).
     Positive definite for delta > 0. Raises :class:`SingularJacobian`
-    when delta = 0, p < 2 and the gradient vanishes.
+    when delta = 0, p < 2 and the gradient vanishes; for p >= 2 a
+    vanishing gradient leaves S I (0^0 = 1 keeps the exponent-2 phases).
     """
     if delta is None:
         delta = params.delta
     batch, single = _as_batch(xi)
     m_rows, n = batch.shape
-    a = np.atleast_1d(params.coeff.value(np.atleast_2d(np.asarray(x, dtype=float))))
-    a_rows = a if a.shape == (m_rows,) else np.full(m_rows, a[0])
+    a = _coefficient_rows(params, x, m_rows)
     m2 = np.sum(batch * batch, axis=1) + delta * delta
     m = np.sqrt(m2)
-    zero = m == 0.0
-    if np.any(zero) and params.p < 2.0:
+    pos = m > 0.0
+    if params.p < 2.0 and not np.all(pos):
         raise SingularJacobian(
             "flux Jacobian undefined: delta = 0, p < 2 and a vanishing gradient"
         )
-    out = np.zeros((m_rows, n, n))
-    eye = np.eye(n)
-    pos = ~zero
-    if np.any(pos):
-        mp = m[pos] ** (params.p - 2.0)
-        mq = a_rows[pos] * m[pos] ** (params.q - 2.0)
-        outer = batch[pos, :, None] * batch[pos, None, :] / m2[pos, None, None]
-        out[pos] = (mp + mq)[:, None, None] * eye + (
-            (params.p - 2.0) * mp + (params.q - 2.0) * mq
-        )[:, None, None] * outer
-    if np.any(zero):
-        # limits at a vanishing gradient: identity blocks survive only at
-        # exponent 2, everything else degenerates to zero
-        scale = np.full(int(np.count_nonzero(zero)), float(params.p == 2.0))
-        if params.q == 2.0:
-            scale = scale + a_rows[zero]
-        out[zero] = scale[:, None, None] * eye
+    S, gam = flux_coefficients(params.p, params.q, a, m)
+    outer = np.zeros((m_rows, n, n))
+    outer[pos] = batch[pos, :, None] * batch[pos, None, :] / m2[pos, None, None]
+    out = S[:, None, None] * np.eye(n) + gam[:, None, None] * outer
     return out[0] if single else out
 
 

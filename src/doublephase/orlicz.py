@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import NonConvergence
 from .grids import element_gradients, element_means
+from .operators import growth
 
 __all__ = [
     "modular",
@@ -35,8 +36,6 @@ def _cell_data(field, params, which, element_mask=None):
         raise ValueError("which must be 'values' or 'gradient'")
     weights = grid.element_measures
     a = params.coeff.value(grid.element_centroids)
-    if np.isscalar(a):
-        a = np.full(len(weights), a)
     if element_mask is not None:
         mags = mags[element_mask]
         weights = weights[element_mask]
@@ -47,8 +46,7 @@ def _cell_data(field, params, which, element_mask=None):
 def _modular_of(mags, weights, a, params, lam=1.0):
     scaled = mags / lam
     with np.errstate(over="ignore", invalid="ignore"):
-        second = np.where(a > 0.0, a * scaled ** params.q, 0.0)
-        return float(np.sum(weights * (scaled ** params.p + second)))
+        return float(np.sum(weights * growth(params.p, params.q, a, scaled)))
 
 
 def modular(field, params, element_mask=None):

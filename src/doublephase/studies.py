@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .grids import BoundaryData, NodalField, interpolate
-from .operators import validate_exponents
+from .grids import BoundaryData, NodalField, element_gradients, element_means, interpolate
+from .operators import growth, validate_exponents
 from .orlicz import gradient_modular
 from .variational import (
     ProblemSpec,
@@ -296,24 +296,19 @@ def caccioppoli_study(spec, cutoffs, seed=0):
         u, _ = solve_dirichlet(inst)
         grid = inst.grid
         params = inst.params
-        from .grids import element_gradients, element_means
-
         grads = element_gradients(u)
         means = element_means(u)
         cents = grid.element_centroids
         weights = grid.element_measures
         a_e = params.coeff.value(cents)
-        if np.isscalar(a_e):
-            a_e = np.full(len(weights), a_e)
-        gmag = np.linalg.norm(grads, axis=1)
-        h_du = gmag**params.p + a_e * gmag**params.q
+        h_du = growth(params.p, params.q, a_e, np.linalg.norm(grads, axis=1))
         for idx in range(cutoffs):
             zeta, grad_zeta = random_cutoff(seed * 7919 + idx, grid.lower, grid.extent)
             z = zeta(cents)
             gz = np.linalg.norm(grad_zeta(cents), axis=1)
             lhs = float(np.sum(weights * z**params.q * h_du))
             cmag = np.abs(means) * gz
-            rhs = float(np.sum(weights * (cmag**params.p + a_e * cmag**params.q)))
+            rhs = float(np.sum(weights * growth(params.p, params.q, a_e, cmag)))
             if rhs > 0.0:
                 ratio = lhs / rhs
             else:

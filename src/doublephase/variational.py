@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import InteriorPattern, NodalField, interpolate
-from .operators import validate_exponents
+from .operators import flux_coefficients, validate_exponents
 
 __all__ = [
     "DELTA_SCHEDULE",
@@ -108,9 +108,7 @@ class _Assembler:
         self.conn = grid.elements
         self.gcoef = grid.grad_coeffs
         self.weights = grid.element_measures
-        self.a_e = np.asarray(spec.params.coeff.value(grid.element_centroids))
-        if self.a_e.ndim == 0:
-            self.a_e = np.full(len(self.weights), float(self.a_e))
+        self.a_e = spec.params.coeff.value(grid.element_centroids)
         k = self.conn.shape[1]
         load = np.zeros(grid.n_nodes)
         np.add.at(load, self.conn, np.repeat(self.weights[:, None] / k, k, axis=1))
@@ -141,13 +139,11 @@ class _Assembler:
         return e
 
     def residual_full(self, values, delta):
-        p, q = self.p, self.q
         G = self.gradients(values)
-        m2 = np.sum(G * G, axis=1) + delta * delta
-        m = np.sqrt(m2)
+        m = np.sqrt(np.sum(G * G, axis=1) + delta * delta)
         factor = np.zeros_like(m)
         pos = m > 0.0
-        factor[pos] = m[pos] ** (p - 2.0) + self.a_e[pos] * m[pos] ** (q - 2.0)
+        factor[pos] = flux_coefficients(self.p, self.q, self.a_e[pos], m[pos])[0]
         flux = factor[:, None] * G
         contrib = np.einsum("eki,ei->ek", self.gcoef, flux) * self.weights[:, None]
         r = np.zeros(self.grid.n_nodes)
@@ -157,14 +153,10 @@ class _Assembler:
     def jacobian(self, values, delta, keep=None):
         """Newton matrix over the interior nodes; ``keep`` (positions in
         ``grid.interior_idx``) restricts it to those rows and columns."""
-        p, q = self.p, self.q
         G = self.gradients(values)
         m2 = np.sum(G * G, axis=1) + delta * delta
-        m = np.sqrt(m2)
-        fp = m ** (p - 2.0)
-        fq = self.a_e * m ** (q - 2.0)
-        s1 = fp + fq
-        s2 = ((p - 2.0) * fp + (q - 2.0) * fq) / m2
+        s1, gam = flux_coefficients(self.p, self.q, self.a_e, np.sqrt(m2))
+        s2 = gam / m2
         d = np.einsum("eki,ei->ek", self.gcoef, G)
         B = self.weights[:, None, None] * (
             s1[:, None, None] * self.gram
@@ -254,12 +246,14 @@ def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies
             e0 = asm.energy(u, delta)
             # Armijo backtracking; skip the test where rounding noise wins
             tau = 1.0
+            e1 = None  # energy of the accepted step, once the Armijo test ran
             if abs(slope) > 1e-13 * (1.0 + abs(e0)):
                 accepted = False
                 for _bt in range(60):
                     trial = u.copy()
                     trial[free] += tau * d
-                    if asm.energy(trial, delta) <= e0 + 1e-4 * tau * slope:
+                    e1 = asm.energy(trial, delta)
+                    if e1 <= e0 + 1e-4 * tau * slope:
                         accepted = True
                         break
                     tau *= 0.5
@@ -274,7 +268,7 @@ def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies
             u[free] += tau * d
             total_iters += 1
             if stage_energies is not None:
-                stage_energies.append(asm.energy(u, delta))
+                stage_energies.append(asm.energy(u, delta) if e1 is None else e1)
             if psi is not None:
                 viol = free[u[free] < psi[free]]
                 if len(viol):

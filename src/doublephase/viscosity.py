@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import InteriorPattern, NodalField
-from .operators import a_flux
+from .operators import a_flux, flux_coefficients
 from .variational import SolveReport, _strict_gate, energy
 
 __all__ = [
@@ -124,28 +124,25 @@ touching_quadratic = TouchingQuadratic
 
 
 def nondiv_eval(params, jet):
-    """Value of the expanded operator F on a second-order jet.
+    """Value of the expanded operator F on a second-order jet:
+    -(S tr X + Gamma <X w, w>) - |eta|^(q-2) eta . grad a(x).
 
-    At a vanishing gradient the degenerate factors are sent to their
-    limits when p, q >= 2; below that the value is undefined and
-    :class:`DegenerateGradient` is raised.
+    At a vanishing gradient and p >= 2 the degenerate factors take their
+    limits (0^0 = 1 keeps the exponent-2 phases, w w^T drops out); for
+    p < 2 the value is undefined and :class:`DegenerateGradient` is raised.
     """
     p, q = params.p, params.q
     a = params.coeff.value(jet.x)
     nrm = float(np.linalg.norm(jet.eta))
-    tr = float(np.trace(jet.hess))
     if nrm == 0.0:
         if p < 2.0:
             raise DegenerateGradient("operator undefined at a vanishing gradient for p < 2")
-        f1 = -tr if p == 2.0 else 0.0
-        f2 = -a * tr if q == 2.0 else 0.0
-        return f1 + f2
-    w = jet.eta / nrm
-    xww = float(w @ jet.hess @ w)
-    f1 = -(nrm ** (p - 2.0)) * (tr + (p - 2.0) * xww)
-    f2 = -a * (nrm ** (q - 2.0)) * (tr + (q - 2.0) * xww)
-    f3 = -(nrm ** (q - 2.0)) * float(jet.eta @ params.coeff.grad_value(jet.x))
-    return f1 + f2 + f3
+        w, first = jet.eta, 0.0
+    else:
+        w = jet.eta / nrm
+        first = nrm ** (q - 2.0) * float(jet.eta @ params.coeff.grad_value(jet.x))
+    S, gam = flux_coefficients(p, q, a, nrm)
+    return -(S * float(np.trace(jet.hess)) + gam * float(w @ jet.hess @ w)) - first
 
 
 def consistency_check(params, phi, x, h=1e-3):
@@ -189,8 +186,6 @@ def _coefficient_fields(spec, allow_nonconstant):
         )
     grid = spec.grid
     a_nodes = params.coeff.value(grid.coords)
-    if np.isscalar(a_nodes):
-        a_nodes = np.full(grid.n_nodes, float(a_nodes))
     ga_nodes = params.coeff.grad_value(grid.coords)
     return a_nodes, ga_nodes
 
@@ -239,9 +234,8 @@ class _Stencil:
             ex = (uv[2] - uv[0]) / (2.0 * h)
             m = np.maximum(np.abs(ex), dv)
             w = ex / m
-            Ap = m ** (p - 2.0)
-            Aq = a * m ** (q - 2.0)
-            cx = (Ap * (1.0 + (p - 2.0) * w * w) + Aq * (1.0 + (q - 2.0) * w * w)) / (h * h)
+            S, Gam = flux_coefficients(p, q, a, m)
+            cx = (S + Gam * w * w) / (h * h)
             W[0] = W[2] = -cx
             W[1] = 2.0 * cx
             first = (m ** (q - 2.0)) * ex * ga[:, 0]
@@ -252,10 +246,7 @@ class _Stencil:
             m = np.maximum(np.hypot(ex, ey), dv)
             wx = ex / m
             wy = ey / m
-            Ap = m ** (p - 2.0)
-            Aq = a * m ** (q - 2.0)
-            S = Ap + Aq
-            Gam = (p - 2.0) * Ap + (q - 2.0) * Aq
+            S, Gam = flux_coefficients(p, q, a, m)
             cx = (S + Gam * wx * wx) / (hx * hx)
             cy = (S + Gam * wy * wy) / (hy * hy)
             M12 = Gam * wx * wy

