@@ -27,7 +27,17 @@ class NonConvergence(DoublePhaseError):
 
 
 class LinearSolveFailure(DoublePhaseError):
-    """The inner linear system produced non-finite values."""
+    """The inner linear system is singular or not positive definite, or
+    its solution is not finite.
+
+    Carries the iterate the failing solve started from, like
+    :class:`NonConvergence`.
+    """
+
+    def __init__(self, message, field=None, report=None):
+        super().__init__(message)
+        self.field = field
+        self.report = report
 
 
 class InfeasibleObstacle(DoublePhaseError):

@@ -2,9 +2,9 @@
 
 The modular is the one-point (centroid) quadrature of H(x, u) over the
 elements; the norm is the gauge inf{lam > 0 : modular(u / lam) <= 1},
-computed by bracketing and bisection. P1 gradients are elementwise
-constant, so the same rule integrates the gradient modular exactly in
-the gradient argument.
+the root of a two-term power law in lam, found by Newton's method. P1
+gradients are elementwise constant, so the same rule integrates the
+gradient modular exactly in the gradient argument.
 """
 
 import numpy as np
@@ -21,9 +21,8 @@ __all__ = [
     "poincare_ratio",
 ]
 
-_BISECT_TOL = 1e-12
-_MAX_BRACKET = 200
-_MAX_BISECT = 200
+_NORM_TOL = 1e-10  # contract: |modular(u / lam*) - 1|
+_MAX_NEWTON = 100
 
 
 def _cell_data(field, params, which, element_mask=None):
@@ -64,51 +63,37 @@ def gradient_modular(field, params, element_mask=None):
 def luxemburg_norm(field, params, which="values"):
     """Gauge norm inf{lam > 0 : modular(u / lam) <= 1}.
 
-    Zero modular gives zero norm; otherwise the returned lam* satisfies
-    |modular(u / lam*) - 1| <= 1e-10. The map lam -> modular(u / lam)
-    is continuous and strictly decreasing where positive, so plain
-    bisection cannot stall.
+    Each phase of H is homogeneous, so with M = max m the modular is
+    A (M/lam)^p + B (M/lam)^q, where A = sum |e| (m/M)^p and
+    B = sum |e| a (m/M)^q come from one pass over the cells. In
+    s = log(lam / M) that is a convex, strictly decreasing function, and
+    its root lies between log(A + B)/q and log(A + B)/p. Newton's method
+    started at the smaller end climbs to the root monotonically; steps
+    are clipped to the larger end against rounding. The zero field has
+    norm zero; otherwise |modular(u / lam*) - 1| <= 1e-10 is checked
+    with the full sum, and :class:`NonConvergence` is raised if it fails.
     """
     mags, weights, a = _cell_data(field, params, which)
-    if _modular_of(mags, weights, a, params) == 0.0:
+    top = float(np.max(mags))
+    if top == 0.0:
         return 0.0
-
-    def phi(lam):
-        return _modular_of(mags, weights, a, params, lam)
-
-    # bracket so that phi(lo) >= 1 >= phi(hi); phi is strictly decreasing
-    lo = hi = 1.0
-    start = phi(1.0)
-    if start > 1.0:
-        for _ in range(_MAX_BRACKET):
-            hi *= 2.0
-            if phi(hi) <= 1.0:
-                break
-            lo = hi
-        else:
-            raise NonConvergence("could not bracket the Luxemburg norm from above")
-    elif start < 1.0:
-        for _ in range(_MAX_BRACKET):
-            lo /= 2.0
-            if phi(lo) >= 1.0:
-                break
-            hi = lo
-        else:
-            raise NonConvergence("could not bracket the Luxemburg norm from below")
-    else:
-        return 1.0
-
-    mid = 0.5 * (lo + hi)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        val = phi(mid)
-        if abs(val - 1.0) <= _BISECT_TOL:
-            return mid
-        if val > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    if not np.isfinite(top):
+        raise NonConvergence("cell magnitudes overflow; the Luxemburg norm is out of range")
+    p, q = params.p, params.q
+    t = mags / top
+    A = float(np.sum(weights * t ** p))
+    B = float(np.sum(weights * np.where(a > 0.0, a * t ** q, 0.0)))
+    s, s_hi = sorted((np.log(A + B) / p, np.log(A + B) / q))
+    for _ in range(_MAX_NEWTON):
+        ep, eq = A * np.exp(-p * s), B * np.exp(-q * s)
+        step = (ep + eq - 1.0) / (p * ep + q * eq)
+        s = min(s + step, s_hi)
+        if abs(step) <= 4.0 * np.finfo(float).eps * (1.0 + abs(s)):
+            break
+    lam = top * float(np.exp(s))
+    if not abs(_modular_of(mags, weights, a, params, lam) - 1.0) <= _NORM_TOL:
+        raise NonConvergence(f"Luxemburg norm missed its contract at lam = {lam:.17g}")
+    return lam
 
 
 def norm_modular_bounds_check(field, params, rel_slack=1e-9):

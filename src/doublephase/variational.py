@@ -15,15 +15,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .errors import (
-    GridMismatch,
-    InfeasibleObstacle,
-    LinearSolveFailure,
-    NonConvergence,
-    ValidationError,
-)
+from .errors import GridMismatch, InfeasibleObstacle, NonConvergence, ValidationError
 from .grids import InteriorPattern, NodalField, interpolate
 from .operators import flux_coefficients, validate_exponents
 
@@ -117,9 +110,12 @@ class _Assembler:
     @cached_property
     def pattern(self):
         """The P1 graph: node pair (conn[e, k], conn[e, l]) of every element,
-        in the order of the (e, k, l) element matrices."""
+        in the order of the (e, k, l) element matrices; the Newton matrix
+        is SPD for delta > 0, so its lower triangle is stored."""
         k = self.conn.shape[1]
-        return InteriorPattern(self.grid, np.repeat(self.conn, k, axis=1), np.tile(self.conn, (1, k)))
+        return InteriorPattern(
+            self.grid, np.repeat(self.conn, k, axis=1), np.tile(self.conn, (1, k)), symmetric=True
+        )
 
     @cached_property
     def gram(self):
@@ -150,9 +146,12 @@ class _Assembler:
         np.add.at(r, self.conn, contrib)
         return r - self.epsilon * self.load
 
-    def jacobian(self, values, delta, keep=None):
-        """Newton matrix over the interior nodes; ``keep`` (positions in
-        ``grid.interior_idx``) restricts it to those rows and columns."""
+    def jacobian(self, values, delta, active=None):
+        """Newton matrix over the interior nodes, in the band storage of
+        :attr:`pattern`. Interior nodes in the nodal mask ``active`` become
+        identity rows and columns, decoupled from the free block, so the
+        band and the SPD property survive and a zero right-hand side there
+        gives a zero step."""
         G = self.gradients(values)
         m2 = np.sum(G * G, axis=1) + delta * delta
         s1, gam = flux_coefficients(self.p, self.q, self.a_e, np.sqrt(m2))
@@ -162,8 +161,13 @@ class _Assembler:
             s1[:, None, None] * self.gram
             + s2[:, None, None] * d[:, :, None] * d[:, None, :]
         )
-        K = self.pattern.fill(B)
-        return K if keep is None else K[keep][:, keep]
+        if active is None:
+            return self.pattern.fill(B)
+        free = ~active[self.conn]
+        B *= free[:, :, None] & free[:, None, :]
+        band = self.pattern.fill(B)
+        self.pattern.diagonal(band)[active[self.grid.interior_idx]] = 1.0
+        return band
 
 
 def energy(field, spec, delta=0.0):
@@ -208,10 +212,8 @@ def _initial_values(asm, g_values):
     lin.p = lin.q = 2.0
     lin.a_e = np.zeros_like(asm.a_e)
     lin.pattern, lin.gram = asm.pattern, asm.gram
-    sol = spla.spsolve(lin.jacobian(u, 1.0), -lin.residual_full(u, 1.0)[grid.interior_idx])
-    if not np.all(np.isfinite(sol)):
-        raise LinearSolveFailure("warm-start linear solve produced non-finite values")
-    u[grid.interior_idx] += sol
+    rhs = -lin.residual_full(u, 1.0)[grid.interior_idx]
+    u[grid.interior_idx] += asm.pattern.solve(lin.jacobian(u, 1.0), rhs, u)
     return u
 
 
@@ -230,8 +232,8 @@ def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies
     for delta in deltas:
         stage_energies = [] if energies is not None else None
         for _ in range(STAGE_CAP):
-            keep = None if active is None else np.flatnonzero(~active[interior])
-            free = interior if keep is None else interior[keep]
+            keep = slice(None) if active is None else np.flatnonzero(~active[interior])
+            free = interior[keep]
             if len(free) == 0:
                 break
             r_full = asm.residual_full(u, delta)
@@ -239,9 +241,9 @@ def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies
             history.append(rn)
             if rn <= tol:
                 break
-            d = spla.spsolve(asm.jacobian(u, delta, keep), -r_full[free])
-            if not np.all(np.isfinite(d)):
-                raise LinearSolveFailure("Newton linear solve produced non-finite values")
+            rhs = np.zeros(len(interior))
+            rhs[keep] = -r_full[free]  # zero on the active nodes
+            d = asm.pattern.solve(asm.jacobian(u, delta, active), rhs, u)[keep]
             slope = float(np.dot(r_full[free], d))
             e0 = asm.energy(u, delta)
             # Armijo backtracking; skip the test where rounding noise wins

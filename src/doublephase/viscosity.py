@@ -20,14 +20,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     DegenerateGradient,
     GridMismatch,
     InvalidExponent,
-    LinearSolveFailure,
     NonConvergence,
     NoTouchFound,
     ValidationError,
@@ -192,10 +189,11 @@ def _coefficient_fields(spec, allow_nonconstant):
 
 class _Frozen(NamedTuple):
     """The scheme linearized at one field: K u_int = rhs with frozen
-    coefficients, policy and first-order term; ``residual`` is F - eps of
-    that same field at every interior node."""
+    coefficients, policy and first-order term, K held as the general
+    (gbsv) band of the stencil's pattern; ``residual`` is F - eps of that
+    same field at every interior node."""
 
-    K: sp.csr_matrix
+    band: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
 
@@ -207,7 +205,9 @@ class _Stencil:
     Row k of ``nbr`` holds the neighbor at offset k of every interior node;
     2D offsets run SW S SE W C E NW N NE. Boundary neighbors move into the
     right-hand side and the inactive diagonal pair stays as explicit zeros,
-    so each frozen system only fills the pattern.
+    so each frozen system only fills the pattern. The frozen matrix is an
+    M-matrix but not symmetric, so the pattern stores the general band
+    (half-bandwidth nx - 1 in 2D) and solves it by banded LU.
     """
 
     def __init__(self, grid):
@@ -220,7 +220,9 @@ class _Stencil:
             offsets = np.array([dy * nx + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
         self.nbr = offsets[:, None] + interior[None, :]
         self.inside = ~grid.boundary_mask[self.nbr]
-        self.pattern = InteriorPattern(grid, np.broadcast_to(interior, self.nbr.shape), self.nbr)
+        self.pattern = InteriorPattern(
+            grid, np.broadcast_to(interior, self.nbr.shape), self.nbr, symmetric=False
+        )
 
     def freeze(self, u, p, q, a, ga, dv, eps):
         """Coefficients, cross-stencil policy and first-order term read off
@@ -266,18 +268,12 @@ class _Stencil:
         return _Frozen(self.pattern.fill(W), rhs, np.sum(Wu, axis=0) - source)
 
 
-def _rounding_floor(frozen, u):
+def _rounding_floor(diagonal, u):
     """Smallest residual max |F - eps| that rounding lets a solve of the
-    frozen system certify: a few ulps of its largest row times max |u|."""
-    scale = float(np.max(frozen.K.diagonal())) * (1.0 + float(np.max(np.abs(u))))
+    frozen system certify: a few ulps of its largest row (read off the
+    band's ``diagonal``) times max |u|."""
+    scale = float(np.max(diagonal)) * (1.0 + float(np.max(np.abs(u))))
     return ROUNDING_ULPS * np.finfo(float).eps * scale
-
-
-def _solve_frozen(frozen, u, interior):
-    sol = spla.spsolve(frozen.K, frozen.rhs)
-    if not np.all(np.isfinite(sol)):
-        raise LinearSolveFailure("viscosity policy iteration produced non-finite values")
-    u[interior] = sol
 
 
 def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_nonconstant=False):
@@ -308,18 +304,20 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_noncon
     u[grid.boundary_idx] = spec.boundary.values_on(grid)
 
     # warm start: the p = q = 2 build, i.e. -(1 + a) Lap u = eps
-    _solve_frozen(stencil.freeze(u, 2.0, 2.0, a, np.zeros_like(ga), dv, eps), u, interior)
+    frozen = stencil.freeze(u, 2.0, 2.0, a, np.zeros_like(ga), dv, eps)
+    u[interior] = stencil.pattern.solve(frozen.band, frozen.rhs, u)
+    del frozen  # a solved band holds LU factors: drop it before the next fill
     frozen = stencil.freeze(u, p, q, a, ga, dv, eps)
     residual = float(np.max(np.abs(frozen.residual)))
     history = []
     converged = False
     while not converged and len(history) < max_iter:
-        _solve_frozen(frozen, u, interior)
-        new = stencil.freeze(u, p, q, a, ga, dv, eps)
-        residual = float(np.max(np.abs(new.residual)))
+        u[interior] = stencil.pattern.solve(frozen.band, frozen.rhs, u)
+        del frozen
+        frozen = stencil.freeze(u, p, q, a, ga, dv, eps)
+        residual = float(np.max(np.abs(frozen.residual)))
         history.append(residual)
-        converged = residual <= max(tol, _rounding_floor(new, u))
-        frozen = new
+        converged = residual <= max(tol, _rounding_floor(stencil.pattern.diagonal(frozen.band), u))
 
     field = NodalField(grid, u)
     notes = "" if spec.params.coeff.is_constant else "experimental: non-constant coefficient"

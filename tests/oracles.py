@@ -125,3 +125,23 @@ def doubling_maximizer(coords, u, v, j, s):
     psi = u[:, None] - v[None, :] - (j / s) * dist ** s
     flat = int(np.argmax(psi))
     return flat // len(v), flat % len(v), float(psi.reshape(-1)[flat])
+
+
+def dense_from_band(band, symmetric):
+    """Dense matrix held in LAPACK band storage, read entry by entry.
+
+    ``symmetric``: the lower triangle in the pbsv layout, A[i, j] at row
+    i - j of column j (i >= j), with bw + 1 rows. Otherwise the gbsv
+    layout, A[i, j] at row 2 bw + i - j of column j, with 3 bw + 1 rows
+    whose top bw rows are pivot room.
+    """
+    lead, n = band.shape
+    bw = lead - 1 if symmetric else (lead - 1) // 3
+    top = 0 if symmetric else 2 * bw
+    A = np.zeros((n, n))
+    for j in range(n):
+        for i in range(j if symmetric else max(0, j - bw), min(n, j + bw + 1)):
+            A[i, j] = band[top + i - j, j]
+    if symmetric:
+        A += np.tril(A, -1).T
+    return A

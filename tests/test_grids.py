@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import dense_from_band
 
-from doublephase.errors import CountMismatch, InvalidField, MalformedHeader
+from doublephase.errors import CountMismatch, InvalidField, LinearSolveFailure, MalformedHeader
 from doublephase.grids import (
     BoundaryData,
     Grid,
+    InteriorPattern,
     NodalField,
     element_gradients,
     interpolate,
@@ -151,3 +156,79 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidField):
             read_field(path)
+
+
+@st.composite
+def band_cases(draw):
+    """(row, col, value) triples between stencil neighbours on a 1D, square,
+    9x4 or 4x9 grid (3 nodes per side included), boundary pairs among
+    them, with symmetric or general storage and a random active subset of
+    the interior."""
+    grid = Grid(draw(st.sampled_from([(3,), (8,), (3, 3), (6, 6), (9, 4), (4, 9)])))
+    nx = grid.shape[0]
+    if grid.dim == 1:
+        offsets = [-1, 0, 1]
+    else:
+        offsets = [dy * nx + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    count = draw(st.integers(0, 60))
+    rows = draw(hnp.arrays(int, count, elements=st.integers(0, grid.n_nodes - 1)))
+    cols = rows + draw(hnp.arrays(int, count, elements=st.sampled_from(offsets)))
+    inside = (cols >= 0) & (cols < grid.n_nodes)
+    values = draw(hnp.arrays(float, count, elements=st.floats(-1.0, 1.0)))
+    symmetric = draw(st.booleans())
+    active = draw(hnp.arrays(bool, len(grid.interior_idx)))
+    return grid, rows[inside], cols[inside], values[inside], symmetric, active
+
+
+class TestInteriorPattern:
+    @settings(max_examples=150, deadline=None)
+    @given(band_cases())
+    def test_band_fill_and_solve_match_dense_oracle(self, case):
+        grid, rows, cols, values, symmetric, active = case
+        interior = grid.interior_idx
+        n = len(interior)
+        pos = np.full(grid.n_nodes, -1)
+        pos[interior] = np.arange(n)
+        if symmetric:
+            rows, cols, values = np.r_[rows, cols], np.r_[cols, rows], np.r_[values, values]
+        # decouple the active nodes the way an obstacle solve does: no
+        # coupling to or from them, and a unit diagonal
+        on = np.zeros(grid.n_nodes, dtype=bool)
+        on[interior[active]] = True
+        values = np.where(on[rows] | on[cols], 0.0, values)
+        # then make the matrix strictly diagonally dominant (SPD when symmetric)
+        off = np.zeros((n, n))
+        both = (pos[rows] >= 0) & (pos[cols] >= 0)
+        np.add.at(off, (pos[rows][both], pos[cols][both]), values[both])
+        diag = np.where(active, 1.0, 1.0 + 2.0 * np.sum(np.abs(off), axis=1))
+        rows, cols, values = np.r_[rows, interior], np.r_[cols, interior], np.r_[values, diag]
+
+        dense = off + np.diag(diag)
+        pattern = InteriorPattern(grid, rows, cols, symmetric)
+        band = pattern.fill(values)
+        assert band.shape == ((1 if symmetric else 3) * pattern.bw + 1, n)
+        assert pattern.bw <= (grid.shape[0] - 1 if grid.dim == 2 else 1)
+        np.testing.assert_allclose(dense_from_band(band, symmetric), dense, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(pattern.diagonal(band), np.diag(dense), rtol=0.0, atol=1e-14)
+
+        rhs = np.where(active, 0.0, np.linspace(-1.0, 2.0, n))
+        x = pattern.solve(band, rhs, np.zeros(grid.n_nodes))
+        free = ~active
+        expected = np.linalg.solve(dense[np.ix_(free, free)], rhs[free])
+        np.testing.assert_allclose(x[free], expected, rtol=1e-12, atol=1e-12)
+        assert np.all(x[active] == 0.0)
+
+    @pytest.mark.parametrize("symmetric, diagonal, reason", [
+        (True, -1.0, "not positive definite"),
+        (False, 0.0, "singular"),
+        (False, 1e-310, "non-finite"),
+    ])
+    def test_failed_solve_carries_the_iterate(self, symmetric, diagonal, reason):
+        grid = Grid((6, 5))
+        interior = grid.interior_idx
+        pattern = InteriorPattern(grid, interior, interior, symmetric)
+        band = pattern.fill(np.full(len(interior), diagonal))
+        state = np.linspace(0.0, 1.0, grid.n_nodes)
+        with pytest.raises(LinearSolveFailure, match=reason) as info:
+            pattern.solve(band, np.full(len(interior), 1e10), state)
+        np.testing.assert_array_equal(info.value.field.values, state)

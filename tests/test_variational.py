@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
+    dense_from_band,
     flux_inversion_solution,
     lowered_parabola_obstacle_solution,
     quadratic_lower_envelope,
@@ -147,8 +148,15 @@ class TestNewtonMatrix:
         asm = _Assembler(spec)
         keep = np.flatnonzero(~active)
         free = grid.interior_idx[keep]
-        K = asm.jacobian(values, delta, keep).toarray()
-        assert K.shape == (len(free), len(free))
+        nodal = np.zeros(grid.n_nodes, dtype=bool)
+        nodal[grid.interior_idx[active]] = True
+        full = dense_from_band(asm.jacobian(values, delta, nodal), symmetric=True)
+        assert full.shape == (len(grid.interior_idx),) * 2
+        # active rows and columns are identity rows decoupled from the rest
+        unit = np.eye(len(grid.interior_idx))
+        np.testing.assert_array_equal(full[active], unit[active])
+        np.testing.assert_array_equal(full[:, active], unit[:, active])
+        K = full[np.ix_(keep, keep)]
         # Every element modulus is >= delta and a nodal step moves an element
         # gradient by at most step / h, so step = 1e-3 delta h keeps the
         # central-difference truncation near 1e-6 of the entries, while the
