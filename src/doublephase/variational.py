@@ -6,8 +6,8 @@ The discrete problem minimizes
 
 over P1 fields with Dirichlet data, where m(Du) = sqrt(|Du|^2 + delta^2)
 smooths the degenerate/singular modulus inside Newton only; reported
-energies use delta = 0. The obstacle variant runs a primal active set
-around the same Newton loop and exposes the complementarity structure.
+energies use delta = 0. The obstacle variant is the same Newton loop as
+a projected Newton method and exposes the complementarity structure.
 """
 
 from copy import copy
@@ -37,8 +37,6 @@ DELTA_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8)
 NEWTON_TOL = 1e-12
 STAGE_CAP = 200
 ACCEPT_TOL = 1e-9  # contract bound: a stalled stage may stop here
-OUTER_CAP = 50
-RELEASE_TOL = 1e-10
 CONTRACT_TOL = 1e-8
 
 
@@ -85,7 +83,7 @@ class SolveReport:
     delta_schedule: tuple
     residual_history: tuple = ()
     energy_history: tuple = ()  # per accepted Newton step, grouped by stage
-    active_set_size: int = 0
+    active_set_size: int = 0  # obstacle: interior nodes with u <= psi at the end
     method: str = "variational"
     notes: str = ""
 
@@ -217,26 +215,31 @@ def _initial_values(asm, g_values):
     return u
 
 
-def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies=None):
-    """Damped Newton over the free interior nodes, one pass per delta stage.
+def _newton_stages(asm, u, deltas, tol, history, psi=None, energies=None):
+    """Damped Newton over the interior nodes, one pass per delta stage.
 
-    With an obstacle, any trial value dropping below psi is pinned to it
-    and the node joins the active set. Returns (u, iterations, pinned_any).
-    ``energies`` collects per-stage lists of accepted-step energies (the
-    Armijo contract makes each stage's list nonincreasing).
+    With an obstacle it is a projected Newton method: each step holds the
+    contact set (interior nodes with u <= psi and a positive residual)
+    fixed as identity rows, and every Armijo trial is projected onto
+    u >= psi, so nodes join and leave the contact set at every step.
+    Returns (u, iterations). ``energies`` collects per-stage lists of
+    accepted-step energies (the Armijo contract makes each stage's list
+    nonincreasing).
     """
     grid = asm.grid
     interior = grid.interior_idx
-    pinned_any = False
     total_iters = 0
     for delta in deltas:
         stage_energies = [] if energies is not None else None
         for _ in range(STAGE_CAP):
-            keep = slice(None) if active is None else np.flatnonzero(~active[interior])
+            r_full = asm.residual_full(u, delta)
+            keep, active = slice(None), None
+            if psi is not None:
+                active = (u <= psi) & (r_full > 0.0)
+                keep = np.flatnonzero(~active[interior])
             free = interior[keep]
             if len(free) == 0:
                 break
-            r_full = asm.residual_full(u, delta)
             rn = float(np.max(np.abs(r_full[free])))
             history.append(rn)
             if rn <= tol:
@@ -246,20 +249,21 @@ def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies
             d = asm.pattern.solve(asm.jacobian(u, delta, active), rhs, u)[keep]
             slope = float(np.dot(r_full[free], d))
             e0 = asm.energy(u, delta)
-            # Armijo backtracking; skip the test where rounding noise wins
+            lo = -np.inf if psi is None else psi[free]
+            # Armijo backtracking along the projected path; skip the test
+            # where rounding noise wins
             tau = 1.0
             e1 = None  # energy of the accepted step, once the Armijo test ran
+            trial = u.copy()
+            trial[free] = np.maximum(u[free] + d, lo)
             if abs(slope) > 1e-13 * (1.0 + abs(e0)):
-                accepted = False
                 for _bt in range(60):
-                    trial = u.copy()
-                    trial[free] += tau * d
                     e1 = asm.energy(trial, delta)
                     if e1 <= e0 + 1e-4 * tau * slope:
-                        accepted = True
                         break
                     tau *= 0.5
-                if not accepted:
+                    trial[free] = np.maximum(u[free] + tau * d, lo)
+                else:
                     # stalled line search: residual already small means done
                     if rn <= ACCEPT_TOL:
                         break
@@ -267,16 +271,10 @@ def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies
                         f"line search stalled at residual {rn:.3e} (delta={delta:g})",
                         field=NodalField(grid, u.copy()),
                     )
-            u[free] += tau * d
+            u = trial
             total_iters += 1
             if stage_energies is not None:
                 stage_energies.append(asm.energy(u, delta) if e1 is None else e1)
-            if psi is not None:
-                viol = free[u[free] < psi[free]]
-                if len(viol):
-                    u[viol] = psi[viol]
-                    active[viol] = True
-                    pinned_any = True
         else:
             rn_last = history[-1] if history else np.inf
             if rn_last > ACCEPT_TOL:
@@ -286,7 +284,7 @@ def _newton_stages(asm, u, deltas, tol, history, psi=None, active=None, energies
                 )
         if energies is not None:
             energies.append(tuple(stage_energies))
-    return u, total_iters, pinned_any
+    return u, total_iters
 
 
 def solve_dirichlet(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
@@ -302,7 +300,7 @@ def solve_dirichlet(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
     u = _initial_values(asm, g_values)
     history = []
     energies = []
-    u, iters, _ = _newton_stages(asm, u, deltas, newton_tol, history, energies=energies)
+    u, iters = _newton_stages(asm, u, deltas, newton_tol, history, energies=energies)
     rn = float(np.max(np.abs(asm.residual_full(u, deltas[-1])[grid.interior_idx])))
     field = NodalField(grid, u)
     report = SolveReport(
@@ -323,7 +321,7 @@ def contact_tolerance(psi_values):
 
 
 def solve_obstacle(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
-    """Obstacle-constrained solve by a primal active set; (field, report).
+    """Obstacle-constrained solve by projected Newton; (field, report).
 
     Dirichlet data come from ``spec.boundary`` when present, else from
     the obstacle trace. The solution satisfies u >= psi everywhere,
@@ -341,49 +339,28 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
         raise InfeasibleObstacle("obstacle exceeds the boundary data on the boundary")
 
     u = _initial_values(asm, g_values)
-    active = np.zeros(grid.n_nodes, dtype=bool)
-    low = u < psi
-    low[grid.boundary_idx] = False
-    u[low] = psi[low]
-    active[low] = True
-
+    interior = grid.interior_idx
+    u[interior] = np.maximum(u[interior], psi[interior])
     history = []
-    total_iters = 0
-    converged = False
-    for cycle in range(OUTER_CAP):
-        # continuation only on the first pass: re-running coarse delta
-        # stages re-pins free-boundary nodes the fine-delta solution keeps
-        stage_deltas = deltas if cycle == 0 else deltas[-1:]
-        u, iters, pinned = _newton_stages(
-            asm, u, stage_deltas, newton_tol, history, psi=psi, active=active
-        )
-        total_iters += iters
-        r_full = asm.residual_full(u, deltas[-1])
-        release = active & (r_full < -RELEASE_TOL)
-        release[grid.boundary_idx] = False
-        if not pinned and not np.any(release):
-            converged = True
-            break
-        active[release] = False
-    if not converged or (
-        np.any(active) and float(np.min(r_full[active])) < -CONTRACT_TOL
-    ):
+    u, iters = _newton_stages(asm, u, deltas, newton_tol, history, psi=psi)
+    r = asm.residual_full(u, deltas[-1])[interior]
+    contact = u[interior] <= psi[interior]
+    if np.any(contact) and float(np.min(r[contact])) < -CONTRACT_TOL:
         raise NonConvergence(
             "active set did not settle to a complementarity-clean state",
             field=NodalField(grid, u.copy()),
         )
 
-    free = grid.interior_idx[~active[grid.interior_idx]]
-    rn = float(np.max(np.abs(r_full[free]))) if len(free) else 0.0
+    rn = float(np.max(np.abs(r[~contact]))) if not np.all(contact) else 0.0
     field = NodalField(grid, u)
     report = SolveReport(
-        converged=converged and rn <= max(newton_tol, ACCEPT_TOL),
-        iterations=total_iters,
+        converged=rn <= max(newton_tol, ACCEPT_TOL),
+        iterations=iters,
         residual_norm=rn,
         energy=asm.energy(u, 0.0),
         delta_schedule=tuple(deltas),
         residual_history=tuple(history),
-        active_set_size=int(np.sum(active)),
+        active_set_size=int(np.sum(contact)),
     )
     return field, report
 

@@ -145,3 +145,58 @@ def dense_from_band(band, symmetric):
     if symmetric:
         A += np.tril(A, -1).T
     return A
+
+
+def quadratic_obstacle_solution(shape, spacing, a, eps, g, psi):
+    """Exact minimizer of 1/2 u^T K u - f^T u over u >= psi, u = g on the
+    boundary, by a dense primal-dual active set iteration.
+
+    At p = q = 2 with constant a the P1 energy on the right triangles of
+    the grid is this quadratic: K is (1 + a) times the 3-point (1D) or
+    5-point stencil whose axis-d edges weigh prod(h) / h_d^2 (hy/hx and
+    hx/hy in 2D, 1/h in 1D), and f is eps * prod(h). ``g`` and ``psi``
+    are nodal arrays in natural order (x fastest); only the boundary
+    entries of ``g`` are read. K is an M-matrix, so the iteration of
+    Hintermueller, Ito & Kunisch (SIAM J. Optim. 2002) ends in finitely
+    many steps at the exact solution. A node joins the active set only by
+    more than 1e-12, so that rounding on a weakly active node (u = psi
+    and multiplier 0) cannot make two sets alternate.
+    """
+    shape = tuple(shape)
+    h = np.asarray(spacing, dtype=float)
+    ids = np.arange(int(np.prod(shape))).reshape(shape[::-1])
+    n = ids.size
+    K = np.zeros((n, n))
+    for axis, hd in enumerate(h[::-1]):  # array axes run (y, x) in 2D
+        w = (1.0 + a) * float(np.prod(h)) / hd ** 2
+        lo = np.take(ids, np.arange(ids.shape[axis] - 1), axis=axis).ravel()
+        hi = np.take(ids, np.arange(1, ids.shape[axis]), axis=axis).ravel()
+        K[lo, lo] += w
+        K[hi, hi] += w
+        K[lo, hi] -= w
+        K[hi, lo] -= w
+    inner = np.zeros(ids.shape, dtype=bool)
+    inner[tuple(slice(1, -1) for _ in shape)] = True
+    inner = inner.ravel()
+    A = K[inner][:, inner]
+    rhs = eps * float(np.prod(h)) - K[inner][:, ~inner] @ g[~inner]
+    lo = psi[inner]
+
+    u = np.linalg.solve(A, rhs)  # unconstrained start, multiplier 0
+    lam = np.zeros_like(u)
+    active = None
+    for _ in range(len(u) + 2):
+        new = lam + (lo - u) > 1e-12
+        if active is not None and np.array_equal(new, active):
+            break
+        active = new
+        free = ~active
+        u = lo.copy()
+        u[free] = np.linalg.solve(A[free][:, free], rhs[free] - A[free][:, active] @ lo[active])
+        lam = A @ u - rhs
+        lam[free] = 0.0
+    else:
+        raise RuntimeError("primal-dual active set iteration did not settle")
+    out = np.array(g, dtype=float)
+    out[inner] = u
+    return out

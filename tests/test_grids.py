@@ -181,7 +181,7 @@ def band_cases(draw):
 
 
 class TestInteriorPattern:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(band_cases())
     def test_band_fill_and_solve_match_dense_oracle(self, case):
         grid, rows, cols, values, symmetric, active = case

@@ -221,6 +221,16 @@ class TestObstacleApproximation:
         assert table.verdict
         assert all(abs(row[2]) <= 1e-9 for row in table.rows)
 
+    @pytest.mark.xfail(strict=True, reason="known defect KD-2: a level exceeds the target")
+    def test_2d_nonlinear_target(self):
+        # the third level of five exceeds the solved target by 2.1e-5 and the
+        # fourth by 9.2e-5 at 17^2; the P1 Newton matrix is no M-matrix for
+        # p != 2, so the discrete comparison principle is not guaranteed
+        spec = base_spec()
+        target, _ = solve_dirichlet(spec)
+        table = obstacle_approximation_study(spec, target, 5)
+        assert table.verdict
+
 
 class TestTablesRoundTrip:
     @pytest.mark.parametrize(

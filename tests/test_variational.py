@@ -8,6 +8,7 @@ from oracles import (
     flux_inversion_solution,
     lowered_parabola_obstacle_solution,
     quadratic_lower_envelope,
+    quadratic_obstacle_solution,
 )
 
 from doublephase.errors import InfeasibleObstacle, ValidationError
@@ -36,6 +37,14 @@ FLUX_ORACLE_QUARTERS = {
 
 def const_params(p, q, a0=1.0, delta=0.0):
     return DoublePhaseParams(p, q, coeff=CoefficientField.constant(a0), delta=delta)
+
+
+def smooth_bd():
+    # the acceptance gate's smooth boundary datum
+    return BoundaryData.from_callable(
+        lambda pts: 0.5 * pts[:, 0] + 0.3 * pts[:, 1]
+        + 0.2 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
+    )
 
 
 def linear_bd():
@@ -139,7 +148,7 @@ def newton_cases(draw):
 
 
 class TestNewtonMatrix:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(newton_cases())
     def test_free_block_matches_finite_differences(self, case):
         grid, values, params, delta, active = case
@@ -315,6 +324,7 @@ class TestSolveObstacle:
         psi = NodalField(g, u_free.values - 0.4)
         spec = ProblemSpec(grid=g, params=params, boundary=bd, obstacle=psi)
         u_obs, rep = solve_obstacle(spec)
+        assert rep.converged
         assert rep.active_set_size == 0
         assert np.max(np.abs(u_obs.values - u_free.values)) <= 1e-9
 
@@ -324,6 +334,7 @@ class TestSolveObstacle:
         tent = NodalField(g, 1.0 - 2.0 * np.abs(xs - 0.5))
         spec = ProblemSpec(grid=g, params=const_params(2.5, 3.0, a0=0.8), obstacle=tent)
         u, rep = solve_obstacle(spec)
+        assert rep.converged
         assert np.max(np.abs(u.values - tent.values)) <= 1e-9
         assert rep.active_set_size == len(g.interior_idx)
 
@@ -335,7 +346,8 @@ class TestSolveObstacle:
             grid=g, params=const_params(2.0, 2.0, a0=0.0),
             boundary=BoundaryData.constant(0.0), obstacle=psi,
         )
-        u, _ = solve_obstacle(spec)
+        u, rep = solve_obstacle(spec)
+        assert rep.converged
         exact, t, slope = lowered_parabola_obstacle_solution(0.3, 2.0, xs)
         assert t == pytest.approx(0.31622776601683794, abs=1e-15)
         assert slope == pytest.approx(0.7350889359326482, abs=1e-15)
@@ -351,6 +363,7 @@ class TestSolveObstacle:
             boundary=BoundaryData.constant(0.0), obstacle=psi,
         )
         u, rep = solve_obstacle(spec)
+        assert rep.converged
         assert np.max(np.abs(u.values - psi.values)) <= 1e-12
         assert rep.active_set_size == len(g.interior_idx)
 
@@ -362,7 +375,8 @@ class TestSolveObstacle:
             grid=g, params=const_params(2.0, 2.0, a0=0.0),
             boundary=BoundaryData.constant(0.0), obstacle=psi,
         )
-        u, _ = solve_obstacle(spec)
+        u, rep = solve_obstacle(spec)
+        assert rep.converged
         max_off_contact, min_on_contact = complementarity_summary(u, spec)
         assert max_off_contact <= 1e-8
         assert min_on_contact >= -1e-8
@@ -399,10 +413,54 @@ class TestSolveObstacle:
         for bump in (0.0, 0.1, 0.2):
             psi = NodalField(g, base + bump * np.sin(np.pi * xs) ** 2)
             spec = ProblemSpec(grid=g, params=params, obstacle=psi)
-            u, _ = solve_obstacle(spec)
+            u, rep = solve_obstacle(spec)
+            assert rep.converged
             sols.append(u.values)
         assert np.max(sols[0] - sols[1]) <= 1e-9
         assert np.max(sols[1] - sols[2]) <= 1e-9
+
+    def test_ladder_level_that_peeled_to_the_cycle_cap_converges(self):
+        # the third obstacle of a levels=4 ladder at 65^2, (p, q, a) =
+        # (2.5, 3, 1): an active set that pinned every node below psi and
+        # then released about 50 per outer cycle hit its cycle cap here
+        g = Grid((65, 65))
+        spec = ProblemSpec(grid=g, params=const_params(2.5, 3.0), boundary=smooth_bd())
+        target, _ = solve_dirichlet(spec)
+        scale = float(np.ptp(target.values))
+        h = float(np.min(g.spacing))
+        radii = np.geomspace(g.diameter ** 2 / (2.0 * scale), (2.0 * h) ** 2 / (2.0 * scale), 4)
+        psi = NodalField(g, _quadratic_lower_envelope(g, target.values, radii[2]))
+        obstacle_spec = ProblemSpec(grid=g, params=spec.params, obstacle=psi)
+        u, rep = solve_obstacle(obstacle_spec)
+        assert rep.converged
+        assert np.min(u.values - psi.values) >= 0.0
+        assert complementarity_summary(u, obstacle_spec)[0] <= 1e-10
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_quadratic_case_matches_active_set_oracle(self, data):
+        # at p = q = 2 and constant a the discrete obstacle problem is a
+        # quadratic program with an M-matrix, solved exactly by the oracle
+        nx = data.draw(st.integers(3, 9))
+        shape = data.draw(st.sampled_from([(nx,), (nx, nx), (nx, data.draw(st.integers(3, 9)))]))
+        extent = [data.draw(st.floats(0.5, 2.0)) for _ in shape]
+        g = Grid(shape, extent=extent)
+        a0 = data.draw(st.floats(0.0, 1.0))
+        eps = data.draw(st.sampled_from([0.0, 0.5]))
+        nodal = hnp.arrays(float, g.n_nodes, elements=st.floats(-1.0, 1.0))
+        bd, psi = data.draw(nodal), data.draw(nodal)
+        b = g.boundary_idx
+        psi[b] = bd[b] - data.draw(hnp.arrays(float, len(b), elements=st.floats(0.0, 1.0)))
+        spec = ProblemSpec(
+            grid=g, params=const_params(2.0, 2.0, a0=a0), epsilon=eps,
+            boundary=BoundaryData.from_values(bd[b]), obstacle=NodalField(g, psi),
+        )
+        u, rep = solve_obstacle(spec)
+        spacing = [e / (n - 1) for e, n in zip(extent, shape)]
+        exact = quadratic_obstacle_solution(shape, spacing, a0, eps, bd, psi)
+        assert rep.converged
+        assert np.min(u.values - psi) >= 0.0
+        assert np.max(np.abs(u.values - exact)) <= 1e-10
 
 
 @st.composite
@@ -465,7 +523,7 @@ class TestApproximationSequence:
             dists.append(gradient_modular(target - u_j, params))
         assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(envelope_cases())
     def test_matches_pairwise_minimum(self, case):
         grid, target, radius = case

@@ -119,7 +119,7 @@ class TestNondivEval:
             fy = nondiv_eval(pr, SecondOrderJet(x, eta, Y))
             assert fx >= fy - 1e-12 * max(1.0, abs(fx), abs(fy))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(jet_cases())
     def test_expanded_operator_is_trace_of_flux_jacobian(self, case):
         # F(x, eta, X) = -tr(D_xi A(x, eta) X) - |eta|^(q-2) eta . grad a(x).
@@ -158,7 +158,7 @@ def frozen_cases(draw):
 
 
 class TestFrozenSystem:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(frozen_cases())
     def test_m_matrix_agreeing_with_local_equation(self, case):
         field, pr, eps = case
@@ -563,7 +563,7 @@ class TestDoubling:
         r = doubling_penalty(u, u, 1.0, 2.5)
         assert (r.x_index, r.y_index) == (0, 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(doubling_cases())
     def test_matches_exhaustive_search(self, case):
         u, v, j, s = case
