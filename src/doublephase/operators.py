@@ -180,6 +180,29 @@ def flux_coefficients(p, q, a, m):
     return fp + fq, (p - 2.0) * fp + (q - 2.0) * fq
 
 
+def flux_coefficient_derivatives(p, q, a, m):
+    """dS/dm = Gamma/m and dGamma/dm = (p-2)^2 m^(p-3) + (q-2)^2 a m^(q-3),
+    the derivatives of :func:`flux_coefficients` in the modulus m > 0."""
+    fp = m ** (p - 3.0)
+    fq = a * m ** (q - 3.0)
+    return (p - 2.0) * fp + (q - 2.0) * fq, (p - 2.0) ** 2 * fp + (q - 2.0) ** 2 * fq
+
+
+def first_order_term(q, m, xi, grad_a):
+    """T = m^(q-2) xi . grad a, the part of -div A(x, Du) that differentiates
+    a: at xi = Du and m = |xi|, -div A = -tr(D_xi A D^2 u) - T. A gradient
+    floor may raise m above |xi|. Vectors lie along the last axis."""
+    return m ** (q - 2.0) * np.sum(xi * grad_a, axis=-1)
+
+
+def first_order_term_gradient(q, m, xi, grad_a, dm):
+    """dT/dxi of :func:`first_order_term`, given dm = dm/dxi (xi/|xi| where
+    m = |xi|, zero where a floor holds m)."""
+    fq = m ** (q - 2.0)
+    slope = (q - 2.0) * fq / m * np.sum(xi * grad_a, axis=-1)
+    return fq[..., None] * grad_a + slope[..., None] * dm
+
+
 def growth(p, q, a, t):
     """H = t^p + a t^q at magnitudes t; the a-term is exactly 0 where a = 0."""
     return t ** p + np.where(a > 0.0, a * t ** q, 0.0)

@@ -10,10 +10,14 @@ which equals -div A(x, Dphi) on smooth phi. The grid solver discretizes
 it monotonically: centered gradients, centered second differences, the
 sign-adapted pair of diagonal stencils for the mixed derivative, and a
 gradient floor |eta| -> max(|eta|, h) tying regularization to
-resolution. It solves the scheme F = eps by a Howard-type policy
-iteration: freeze the coefficients, the mixed-stencil choice and the
-first-order term at the current field, solve the resulting M-matrix
-system, and repeat until the scheme residual of the new field is small.
+resolution. It solves the scheme F = eps by semismooth Newton: the
+Newton matrix is the frozen M-matrix (coefficients, mixed-stencil choice
+and first-order term held at the current field, the matrix of Howard's
+policy iteration) plus the derivative of the coefficients and the
+first-order term through the centered gradient, with one-sided
+derivatives at the floor and the policy switch. An Armijo line search on
+the squared residual globalizes it, and a continuation in the gradient
+floor, from 1 down to h, takes over when that line search stalls.
 """
 
 from dataclasses import dataclass
@@ -30,7 +34,13 @@ from .errors import (
     ValidationError,
 )
 from .grids import InteriorPattern, NodalField
-from .operators import a_flux, flux_coefficients
+from .operators import (
+    a_flux,
+    first_order_term,
+    first_order_term_gradient,
+    flux_coefficient_derivatives,
+    flux_coefficients,
+)
 from .variational import SolveReport, _strict_gate, energy
 
 __all__ = [
@@ -50,8 +60,15 @@ __all__ = [
 ]
 
 SCHEME_TOL = 1e-10
-MAX_POLICY_ITER = 500
+MAX_NEWTON_ITER = 500
 ROUNDING_ULPS = 8.0
+ARMIJO = 1e-4
+# a step shorter than 2^-7 counts as a stall: on degenerate data longer
+# searches only crawl along a local minimum of |R|^2 before failing
+MAX_BACKTRACK = 8
+# gradient floors of the continuation, 1 down to 2^-12; a solve that
+# needs it visits those above its grid spacing h, then h itself
+FLOOR_SCHEDULE = tuple(0.5 ** k for k in range(13))
 
 
 @dataclass(frozen=True)
@@ -134,10 +151,10 @@ def nondiv_eval(params, jet):
     if nrm == 0.0:
         if p < 2.0:
             raise DegenerateGradient("operator undefined at a vanishing gradient for p < 2")
-        w, first = jet.eta, 0.0
+        w = jet.eta
     else:
         w = jet.eta / nrm
-        first = nrm ** (q - 2.0) * float(jet.eta @ params.coeff.grad_value(jet.x))
+    first = float(first_order_term(q, nrm, jet.eta, params.coeff.grad_value(jet.x)))
     S, gam = flux_coefficients(p, q, a, nrm)
     return -(S * float(np.trace(jet.hess)) + gam * float(w @ jet.hess @ w)) - first
 
@@ -187,15 +204,27 @@ def _coefficient_fields(spec, allow_nonconstant):
     return a_nodes, ga_nodes
 
 
-class _Frozen(NamedTuple):
-    """The scheme linearized at one field: K u_int = rhs with frozen
-    coefficients, policy and first-order term, K held as the general
-    (gbsv) band of the stencil's pattern; ``residual`` is F - eps of that
-    same field at every interior node."""
+class _Local(NamedTuple):
+    """The scheme read off the centered gradient ``eta`` of one field, per
+    interior node: modulus ``norm`` = |eta|, floored modulus m, direction
+    w = eta/m, the law S and ``gam``, the diagonal and mixed entries of
+    M = S I + Gamma w w^T, the mixed-stencil ``policy`` (NE-SW pair where
+    M12 >= 0), the axis and sign-adapted mixed second differences, the
+    diagonal (``centre``) weight and the first-order term. Vectors are
+    (dim, n); 1D has no mixed entry (``m12`` = ``dxy`` = 0)."""
 
-    band: np.ndarray
-    rhs: np.ndarray
-    residual: np.ndarray
+    eta: np.ndarray
+    norm: np.ndarray
+    m: np.ndarray
+    w: np.ndarray
+    gam: np.ndarray
+    mdiag: np.ndarray
+    m12: object
+    policy: object
+    d2: np.ndarray
+    dxy: object
+    centre: np.ndarray
+    first: np.ndarray
 
 
 class _Stencil:
@@ -205,9 +234,9 @@ class _Stencil:
     Row k of ``nbr`` holds the neighbor at offset k of every interior node;
     2D offsets run SW S SE W C E NW N NE. Boundary neighbors move into the
     right-hand side and the inactive diagonal pair stays as explicit zeros,
-    so each frozen system only fills the pattern. The frozen matrix is an
-    M-matrix but not symmetric, so the pattern stores the general band
-    (half-bandwidth nx - 1 in 2D) and solves it by banded LU.
+    so each frozen system or Newton matrix only fills the pattern. Neither
+    is symmetric, so the pattern stores the general band (half-bandwidth
+    nx - 1 in 2D) and solves it by banded LU with partial pivoting.
     """
 
     def __init__(self, grid):
@@ -215,77 +244,143 @@ class _Stencil:
         interior = grid.interior_idx
         if grid.dim == 1:
             offsets = np.array([-1, 0, 1])
+            self.minus, self.centre, self.plus = [0], 1, [2]
         else:
             nx = grid.shape[0]
             offsets = np.array([dy * nx + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+            self.minus, self.centre, self.plus = [3, 1], 4, [5, 7]
+        self.h = np.asarray(grid.spacing, dtype=float)[:, None]
+        self.h2 = self.h ** 2
+        self.hxy = float(np.prod(grid.spacing))
         self.nbr = offsets[:, None] + interior[None, :]
         self.inside = ~grid.boundary_mask[self.nbr]
         self.pattern = InteriorPattern(
             grid, np.broadcast_to(interior, self.nbr.shape), self.nbr, symmetric=False
         )
 
-    def freeze(self, u, p, q, a, ga, dv, eps):
-        """Coefficients, cross-stencil policy and first-order term read off
-        the centered gradient of ``u``; ``a``/``ga`` are given at interior
-        nodes."""
-        grid = self.grid
+    def local(self, u, p, q, a, ga, dv):
+        """The scheme at the centered gradient of ``u`` with gradient floor
+        ``dv``; ``a``/``ga`` are given at interior nodes."""
         uv = u[self.nbr]
-        W = np.empty_like(uv)
-        if grid.dim == 1:
-            h = float(grid.spacing[0])
-            ex = (uv[2] - uv[0]) / (2.0 * h)
-            m = np.maximum(np.abs(ex), dv)
-            w = ex / m
-            S, Gam = flux_coefficients(p, q, a, m)
-            cx = (S + Gam * w * w) / (h * h)
-            W[0] = W[2] = -cx
-            W[1] = 2.0 * cx
-            first = (m ** (q - 2.0)) * ex * ga[:, 0]
+        up, um, uc = uv[self.plus], uv[self.minus], uv[self.centre]
+        eta = (up - um) / (2.0 * self.h)
+        norm = np.sqrt((eta * eta).sum(axis=0))
+        m = np.maximum(norm, dv)
+        w = eta / m
+        S, gam = flux_coefficients(p, q, a, m)
+        mdiag = S + gam * w * w
+        d2 = (up - 2.0 * uc + um) / self.h2
+        if self.grid.dim == 1:
+            m12 = dxy = 0.0
+            policy = None
         else:
-            hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
-            ex = (uv[5] - uv[3]) / (2.0 * hx)
-            ey = (uv[7] - uv[1]) / (2.0 * hy)
-            m = np.maximum(np.hypot(ex, ey), dv)
-            wx = ex / m
-            wy = ey / m
-            S, Gam = flux_coefficients(p, q, a, m)
-            cx = (S + Gam * wx * wx) / (hx * hx)
-            cy = (S + Gam * wy * wy) / (hy * hy)
-            M12 = Gam * wx * wy
-            c = np.abs(M12) / (hx * hy)
             # sign-adapted mixed difference: the NE-SW pair when M12 >= 0,
-            # the NW-SE pair otherwise, so every off-diagonal is <= 0
-            policy = M12 >= 0.0
-            W[0] = W[8] = np.where(policy, -c, 0.0)
-            W[2] = W[6] = np.where(policy, 0.0, -c)
-            W[1] = W[7] = c - cy
-            W[3] = W[5] = c - cx
-            W[4] = 2.0 * cx + 2.0 * cy - 2.0 * c
-            first = (m ** (q - 2.0)) * (ex * ga[:, 0] + ey * ga[:, 1])
-        source = eps + first
-        Wu = W * uv
-        rhs = source - np.sum(Wu, axis=0, where=~self.inside)
-        return _Frozen(self.pattern.fill(W), rhs, np.sum(Wu, axis=0) - source)
+            # the NW-SE pair otherwise, so every off-diagonal weight is <= 0
+            m12 = gam * w[0] * w[1]
+            policy = m12 >= 0.0
+            cross = (up + um).sum(axis=0) - 2.0 * uc
+            dxy = np.where(policy, uv[0] + uv[8] - cross, cross - uv[2] - uv[6]) / (2.0 * self.hxy)
+        centre = 2.0 * (mdiag / self.h2).sum(axis=0) - 2.0 * np.abs(m12) / self.hxy
+        first = first_order_term(q, m, eta.T, ga)
+        return _Local(eta, norm, m, w, gam, mdiag, m12, policy, d2, dxy, centre, first)
+
+    @staticmethod
+    def residual(loc, eps):
+        """F - eps at every interior node."""
+        return -((loc.mdiag * loc.d2).sum(axis=0) + 2.0 * loc.m12 * loc.dxy) - loc.first - eps
+
+    def weights(self, loc):
+        """Frozen weights W, one row per offset: W u = -tr(M D^2 u) with
+        M, the policy and the floor held at their values in ``loc``."""
+        c = loc.mdiag / self.h2
+        cm = np.abs(loc.m12) / self.hxy
+        W = np.empty(self.nbr.shape)
+        W[self.plus] = W[self.minus] = cm - c
+        W[self.centre] = loc.centre
+        if self.grid.dim == 2:
+            W[0] = W[8] = np.where(loc.policy, -cm, 0.0)
+            W[2] = W[6] = np.where(loc.policy, 0.0, -cm)
+        return W
+
+    def freeze(self, u, p, q, a, ga, dv, eps):
+        """(band, rhs) of the M-matrix system W u_int = rhs with the
+        coefficients, policy and first-order term frozen at ``u``."""
+        loc = self.local(u, p, q, a, ga, dv)
+        W = self.weights(loc)
+        rhs = eps + loc.first - np.sum(W * u[self.nbr], axis=0, where=~self.inside)
+        return self.pattern.fill(W), rhs
+
+    def jacobian(self, loc, p, q, a, ga):
+        """Band of the Newton matrix dR/du_int at ``loc``: the frozen weights
+        W plus the derivative of W u - T through the centered gradient, which
+        only touches the axis neighbors. The policy stays fixed; below the
+        floor m does not move (dm = 0) and w = eta/dv."""
+        W = self.weights(loc)
+        dm = np.where(loc.norm >= loc.m, loc.w, 0.0)
+        dS, dgam = flux_coefficient_derivatives(p, q, a, loc.m)
+        Dw = loc.d2 * loc.w + loc.dxy * loc.w[::-1]  # D^2 u w with D^2 u = [[d2x, dxy], [dxy, d2y]]
+        wDw = (loc.w * Dw).sum(axis=0)
+        g = (dS * loc.d2.sum(axis=0) + dgam * wDw) * dm + 2.0 * loc.gam * (Dw - dm * wDw) / loc.m
+        g += first_order_term_gradient(q, loc.m, loc.eta.T, ga, dm.T).T
+        g /= 2.0 * self.h  # d eta_j / d u at the +h_j and -h_j neighbors
+        W[self.plus] -= g
+        W[self.minus] += g
+        return self.pattern.fill(W)
 
 
-def _rounding_floor(diagonal, u):
-    """Smallest residual max |F - eps| that rounding lets a solve of the
-    frozen system certify: a few ulps of its largest row (read off the
-    band's ``diagonal``) times max |u|."""
-    scale = float(np.max(diagonal)) * (1.0 + float(np.max(np.abs(u))))
+def _rounding_floor(centre, u):
+    """Smallest residual max |F - eps| that rounding lets a solve certify:
+    a few ulps of the largest diagonal (``centre``) weight times max |u|."""
+    scale = float(np.max(centre)) * (1.0 + float(np.max(np.abs(u))))
     return ROUNDING_ULPS * np.finfo(float).eps * scale
 
 
-def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_nonconstant=False):
-    """Policy iteration on the monotone scheme; (field, report).
+def _newton(stencil, u, law, dv, eps, tol, max_iter, history):
+    """Semismooth Newton on R(u) = F(u) - eps at gradient floor ``dv``,
+    globalized by an Armijo line search on |R|^2 / 2 whose trials only
+    evaluate R. Appends the residual after every step to ``history``;
+    returns (u, residual, status) with status "converged", "stalled" (the
+    line search found no decrease) or "capped" (``max_iter`` steps taken
+    in all)."""
+    interior = stencil.grid.interior_idx
+    loc = stencil.local(u, *law, dv)
+    r = stencil.residual(loc, eps)
+    while True:
+        residual = float(np.max(np.abs(r)))
+        if residual <= max(tol, _rounding_floor(loc.centre, u)):
+            return u, residual, "converged"
+        if len(history) >= max_iter:
+            return u, residual, "capped"
+        d = stencil.pattern.solve(stencil.jacobian(loc, *law), -r, u)
+        phi = float(r @ r)
+        trial = u.copy()
+        t = 1.0
+        for _ in range(MAX_BACKTRACK):
+            trial[interior] = u[interior] + t * d
+            loc_t = stencil.local(trial, *law, dv)
+            r_t = stencil.residual(loc_t, eps)
+            if float(r_t @ r_t) <= (1.0 - 2.0 * ARMIJO * t) * phi:
+                break
+            t *= 0.5
+        else:
+            return u, residual, "stalled"
+        u, loc, r = trial, loc_t, r_t
+        history.append(float(np.max(np.abs(r))))
 
-    Each iteration freezes the coefficients, the mixed-stencil policy and
-    the first-order term at the current field and solves the resulting
-    M-matrix system. It stops once the scheme residual max |F - eps| of
-    the new field, evaluated with that field's own policy, is at most
-    ``tol`` (or the rounding floor of the frozen system, if larger). The
-    gradient floor is the grid spacing, so consistency error and
-    regularization error vanish together under refinement.
+
+def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_nonconstant=False):
+    """Semismooth Newton on the monotone scheme; (field, report).
+
+    Each step solves the Newton matrix of R(u) = F(u) - eps (the frozen
+    M-matrix plus the derivative through the centered gradient) and takes
+    the largest step 2^-k that passes an Armijo test on |R|^2 / 2. It
+    stops once max |F - eps| is at most ``tol`` (or the rounding floor of
+    the scheme, if larger). The gradient floor is the grid spacing h, so
+    consistency error and regularization error vanish together under
+    refinement. If the line search stalls at floor h, the solve restarts
+    from the warm start and walks the floors of ``FLOOR_SCHEDULE`` above h,
+    then h. ``iterations`` counts every Newton step taken and
+    ``delta_schedule`` lists the floors visited.
     """
     if spec.obstacle is not None:
         raise ValidationError("the viscosity solver has no obstacle support")
@@ -296,28 +391,28 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_noncon
     grid = spec.grid
     interior = grid.interior_idx
     a, ga = a_nodes[interior], ga_nodes[interior]
-    p, q = spec.params.p, spec.params.q
-    dv = float(np.max(grid.spacing))
+    law = (spec.params.p, spec.params.q, a, ga)
+    h = float(np.max(grid.spacing))
     eps = spec.epsilon
     stencil = _Stencil(grid)
-    u = np.zeros(grid.n_nodes)
-    u[grid.boundary_idx] = spec.boundary.values_on(grid)
+    start = np.zeros(grid.n_nodes)
+    start[grid.boundary_idx] = spec.boundary.values_on(grid)
 
     # warm start: the p = q = 2 build, i.e. -(1 + a) Lap u = eps
-    frozen = stencil.freeze(u, 2.0, 2.0, a, np.zeros_like(ga), dv, eps)
-    u[interior] = stencil.pattern.solve(frozen.band, frozen.rhs, u)
-    del frozen  # a solved band holds LU factors: drop it before the next fill
-    frozen = stencil.freeze(u, p, q, a, ga, dv, eps)
-    residual = float(np.max(np.abs(frozen.residual)))
+    band, rhs = stencil.freeze(start, 2.0, 2.0, a, np.zeros_like(ga), h, eps)
+    start[interior] = stencil.pattern.solve(band, rhs, start)
+    del band  # a solved band holds LU factors: drop it before the next fill
     history = []
-    converged = False
-    while not converged and len(history) < max_iter:
-        u[interior] = stencil.pattern.solve(frozen.band, frozen.rhs, u)
-        del frozen
-        frozen = stencil.freeze(u, p, q, a, ga, dv, eps)
-        residual = float(np.max(np.abs(frozen.residual)))
-        history.append(residual)
-        converged = residual <= max(tol, _rounding_floor(stencil.pattern.diagonal(frozen.band), u))
+    floors = [h]
+    u, residual, status = _newton(stencil, start, law, h, eps, tol, max_iter, history)
+    if status == "stalled":
+        u = start
+        for dv in [f for f in FLOOR_SCHEDULE if f > h] + [h]:
+            floors.append(dv)
+            u, residual, status = _newton(stencil, u, law, dv, eps, tol, max_iter, history)
+            if status != "converged":
+                break
+    converged = status == "converged"
 
     field = NodalField(grid, u)
     notes = "" if spec.params.coeff.is_constant else "experimental: non-constant coefficient"
@@ -326,14 +421,16 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_POLICY_ITER, allow_noncon
         iterations=len(history),
         residual_norm=residual,
         energy=energy(field, spec, delta=0.0),
-        delta_schedule=(dv,),
+        delta_schedule=tuple(floors),
         residual_history=tuple(history),
         method="viscosity",
         notes=notes,
     )
     if not converged:
+        reason = "the line search stalled" if status == "stalled" else f"{max_iter} steps were taken"
         raise NonConvergence(
-            f"policy iteration did not reach tol={tol:g} within {max_iter} iterations",
+            f"Newton did not reach tol={tol:g}: {reason} at residual {residual:.3e} "
+            f"(gradient floor {floors[-1]:g})",
             field=field,
             report=report,
         )

@@ -200,3 +200,37 @@ def quadratic_obstacle_solution(shape, spacing, a, eps, g, psi):
     out = np.array(g, dtype=float)
     out[inner] = u
     return out
+
+
+def difference_jacobian(residual_at, values, nodes, neighbors, step=1e-7):
+    """Difference Jacobian of a nodal residual, and its one-sided spread.
+
+    Entry [k, l] is about the derivative of ``residual_at(v, nodes[k])`` in
+    ``v[nodes[l]]`` at ``v = values``, for the nodes ``nodes[l]`` listed in
+    ``neighbors(nodes[k])``; the other entries are 0. The forward and
+    backward quotients are the second-order ones of three points each;
+    J is their mean and ``spread`` their distance. Where the residual is
+    smooth within 2 ``step`` both are the derivative to O(step^2). Where a
+    piecewise smooth residual switches branch within that reach, each
+    one-sided derivative lies within spread / 2 of J.
+    """
+    values = np.array(values, dtype=float)
+    col = {int(node): l for l, node in enumerate(nodes)}
+    J = np.zeros((len(nodes), len(nodes)))
+    spread = np.zeros_like(J)
+    for k, node in enumerate(nodes):
+        base = residual_at(values, node)
+        for nb in neighbors(node):
+            if nb not in col:
+                continue
+            saved = values[nb]
+            f = {}
+            for j in (-2, -1, 1, 2):
+                values[nb] = saved + j * step
+                f[j] = residual_at(values, node)
+            values[nb] = saved
+            fwd = (4.0 * f[1] - f[2] - 3.0 * base) / (2.0 * step)
+            bwd = (3.0 * base - 4.0 * f[-1] + f[-2]) / (2.0 * step)
+            J[k, col[nb]] = 0.5 * (fwd + bwd)
+            spread[k, col[nb]] = abs(fwd - bwd)
+    return J, spread

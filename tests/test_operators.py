@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from doublephase.errors import SingularJacobian
 from doublephase.operators import (
@@ -7,6 +9,8 @@ from doublephase.operators import (
     DoublePhaseParams,
     a_flux,
     a_flux_jacobian,
+    flux_coefficient_derivatives,
+    flux_coefficients,
     h_eval,
     monotonicity_gap,
     validate_exponents,
@@ -168,6 +172,22 @@ class TestFluxJacobian:
                 xi = rng.normal(size=2)
                 eigs = np.linalg.eigvalsh(a_flux_jacobian(pr, X, xi))
                 assert np.all(eigs > 0.0)
+
+
+class TestFluxCoefficients:
+    @given(
+        st.floats(1.1, 4.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(1e-2, 1e2)
+    )
+    def test_derivatives_match_finite_differences(self, p, dq, a, m):
+        # central differences with step 1e-5 m: the truncation error is
+        # about 1e-10 of the scale and rounding about 1e-11
+        q = p + dq
+        step = 1e-5 * m
+        hi, lo = flux_coefficients(p, q, a, m + step), flux_coefficients(p, q, a, m - step)
+        S, gam = flux_coefficients(p, q, a, m)
+        for got, up, down, value in zip(flux_coefficient_derivatives(p, q, a, m), hi, lo, (S, gam)):
+            scale = (abs(value) + abs(up) + abs(down) + S) / m
+            assert abs(got - (up - down) / (2.0 * step)) <= 1e-8 * scale
 
 
 class TestMonotonicityGap:

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import dense_from_band, doubling_maximizer, radial_p_harmonic_jet
+from oracles import (
+    dense_from_band,
+    difference_jacobian,
+    doubling_maximizer,
+    radial_p_harmonic_jet,
+)
 
 from doublephase.errors import (
     DegenerateGradient,
@@ -157,6 +162,14 @@ def frozen_cases(draw):
     return NodalField(grid, values), DoublePhaseParams(p, q, coeff=coeff), eps
 
 
+def _neighbors(grid, node):
+    """The node and its (up to 8) grid neighbors: index distance <= 1 per axis."""
+    nx = grid.shape[0]
+    i, j = node % nx, node // nx
+    rows = range(max(j - 1, 0), min(j + 2, grid.n_nodes // nx)) if grid.dim == 2 else [0]
+    return [r * nx + c for r in rows for c in range(max(i - 1, 0), min(i + 2, nx))]
+
+
 class TestFrozenSystem:
     @settings(max_examples=80)
     @given(frozen_cases())
@@ -165,22 +178,51 @@ class TestFrozenSystem:
         grid = field.grid
         interior = grid.interior_idx
         pts = grid.coords[interior]
-        frozen = _Stencil(grid).freeze(
-            field.values, pr.p, pr.q, pr.coeff.value(pts), pr.coeff.grad_value(pts),
-            float(np.max(grid.spacing)), eps,
-        )
-        K = dense_from_band(frozen.band, symmetric=False)
+        law = (pr.p, pr.q, pr.coeff.value(pts), pr.coeff.grad_value(pts))
+        stencil = _Stencil(grid)
+        h = float(np.max(grid.spacing))
+        band, rhs = stencil.freeze(field.values, *law, h, eps)
+        K = dense_from_band(band, symmetric=False)
         diag = np.diag(K)
         assert np.all(diag > 0.0)
         assert np.all(K - np.diag(diag) <= 0.0)
         assert np.all(K.sum(axis=1) >= -1e-12 * diag)
-        scheme = K @ field.values[interior] - frozen.rhs
-        np.testing.assert_allclose(frozen.residual, scheme, rtol=0.0,
+        scheme = K @ field.values[interior] - rhs
+        residual = stencil.residual(stencil.local(field.values, *law, h), eps)
+        np.testing.assert_allclose(residual, scheme, rtol=0.0,
                                    atol=1e-12 * (1.0 + float(np.max(diag)) * 2.0))
         for k, node in enumerate(interior):
             res, dF, _tgt = local_equation(field, pr, node, epsilon=eps)
             assert abs(scheme[k] - res) <= 1e-12 * (1.0 + dF * float(np.max(np.abs(field.values))))
             assert diag[k] == pytest.approx(dF, rel=1e-12)
+
+    @settings(max_examples=60)
+    @given(frozen_cases(), st.floats(0.25, 0.75))
+    def test_newton_matrix_matches_difference_quotients(self, case, rank):
+        # the gradient floor sits at a quantile of the centered gradient
+        # moduli, so floored and unfloored nodes both occur; 2D fields
+        # carry both mixed-stencil policies
+        field, pr, _eps = case
+        grid = field.grid
+        interior = grid.interior_idx
+        pts = grid.coords[interior]
+        law = (pr.p, pr.q, pr.coeff.value(pts), pr.coeff.grad_value(pts))
+        u = field.values.reshape(grid.shape[::-1])
+        grads = np.gradient(u, *grid.spacing[::-1]) if grid.dim == 2 else [np.gradient(u, grid.spacing[0])]
+        moduli = np.sqrt(sum(g[(slice(1, -1),) * grid.dim] ** 2 for g in grads)).ravel()
+        dv = max(float(np.quantile(moduli, rank)), 1e-2)
+        stencil = _Stencil(grid)
+        J = dense_from_band(stencil.jacobian(stencil.local(field.values, *law, dv), *law), symmetric=False)
+
+        def residual_at(values, node):
+            return local_equation(NodalField(grid, values), pr, node, dv=dv)[0]
+
+        J_fd, spread = difference_jacobian(residual_at, field.values, interior,
+                                           lambda node: _neighbors(grid, node))
+        # at a kink (the floor, a policy switch) within the step the Newton
+        # matrix holds one one-sided derivative: half the spread off the mean
+        scale = 1.0 + float(np.max(np.abs(J_fd)))
+        assert np.all(np.abs(J - J_fd) <= 0.5 * spread + 1e-6 * scale)
 
 
 class TestConsistency:
@@ -211,6 +253,22 @@ class TestConsistency:
             _d, _nd, gap = consistency_check(pr, phi, x)
             worst = max(worst, gap)
         assert worst <= 1e-6
+
+
+@st.composite
+def ordered_boundary_pairs(draw):
+    """Boundary values g1 <= g2 on a square grid of 9, 13 or 17 nodes per
+    side, for one of the acceptance regimes or (1.5, 3, 0.5), with eps = 0
+    or 0.5. g1 is a seeded trig series (the comparison study's data) and
+    g2 - g1 a constant plus a scaled, nonnegative second series."""
+    grid = Grid((draw(st.sampled_from([9, 13, 17])),) * 2)
+    p, q, a0 = draw(st.sampled_from([(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8), (1.5, 3.0, 0.5)]))
+    pts = grid.coords[grid.boundary_idx]
+    seeds = st.integers(0, 2**32 - 1)
+    lower = _normalized_closure(trig_series(draw(seeds), 2), grid)(pts)
+    bump = _normalized_closure(trig_series(draw(seeds), 2), grid)(pts)
+    gap = draw(st.floats(0.0, 1.0)) + draw(st.floats(0.0, 1.0)) * (bump - np.min(bump))
+    return grid, const_params(p, q, a0), draw(st.sampled_from([0.0, 0.5])), lower, lower + gap
 
 
 class TestSolver:
@@ -271,19 +329,17 @@ class TestSolver:
                     _r, _d, target = local_equation(bumped, pr, node)
                     assert target >= base_target - 1e-12
 
-    def test_discrete_comparison_for_scheme(self):
-        g = Grid((17, 17))
-        base = lambda pts: 0.3 * np.cos(np.pi * pts[:, 0]) + 0.4 * pts[:, 1]
-        pr = const_params(1.5, 3.0, a0=0.5)
-        u1, _ = solve_viscosity(
-            ProblemSpec(grid=g, params=pr, boundary=BoundaryData.from_callable(base))
-        )
-        u2, _ = solve_viscosity(
-            ProblemSpec(
-                grid=g, params=pr,
-                boundary=BoundaryData.from_callable(lambda pts: base(pts) + 0.6),
-            )
-        )
+    # derandomized: about 1 in 4000 of these solves stalls (see
+    # test_singular_regime_trig_data_converges), which would make a
+    # randomized run fail now and then on an unrelated defect
+    @settings(max_examples=40, derandomize=True)
+    @given(ordered_boundary_pairs())
+    def test_discrete_comparison_for_scheme(self, case):
+        grid, pr, eps, lower, upper = case
+        u1, _ = solve_viscosity(ProblemSpec(
+            grid=grid, params=pr, epsilon=eps, boundary=BoundaryData.from_values(lower)))
+        u2, _ = solve_viscosity(ProblemSpec(
+            grid=grid, params=pr, epsilon=eps, boundary=BoundaryData.from_values(upper)))
         assert np.max(u1.values - u2.values) <= 1e-8
 
     def test_requires_constant_coefficient(self):
@@ -341,7 +397,7 @@ class TestSolver:
             g = Grid((n, n))
             u, rep = solve_viscosity(ProblemSpec(grid=g, params=pr, boundary=bd))
             assert rep.converged
-            assert rep.iterations <= 25
+            assert rep.iterations <= 8
             assert len(rep.residual_history) == rep.iterations
             assert rep.residual_history[-1] == rep.residual_norm
             local = np.array([local_equation(u, pr, node)[:2] for node in g.interior_idx])
@@ -364,27 +420,29 @@ class TestSolver:
             boundary=BoundaryData.from_callable(lambda pts: np.sin(2 * np.pi * pts[:, 0])),
         )
         u, rep = solve_viscosity(spec)
-        assert rep.iterations <= 25
+        assert rep.iterations <= 8
         assert max(abs(local_equation(u, pr, node)[0]) for node in g.interior_idx) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, raises=NonConvergence,
-                       reason="undamped policy iteration cycles at a degenerate critical point")
     def test_degenerate_source_problem_converges(self):
         # p > 2 with a source: at an interior critical point the gradient
-        # floor makes the frozen coefficient ~h^(p-2) and the next solve
-        # overshoots; the residual jumps between 0.3 and 76 for every iteration
+        # floor makes the frozen coefficient ~h^(p-2). Policy iteration
+        # cycled here (residual 0.3 <-> 76); plain Newton stalls and the
+        # floor continuation 1 -> h converges
+        g = Grid((129,))
+        pr = const_params(3.0, 4.0, a0=1.0)
         spec = ProblemSpec(
-            grid=Grid((129,)), params=const_params(3.0, 4.0, a0=1.0), epsilon=0.3,
+            grid=g, params=pr, epsilon=0.3,
             boundary=BoundaryData.from_callable(lambda pts: np.sin(3.0 * pts[:, 0])),
         )
-        _u, rep = solve_viscosity(spec)
+        u, rep = solve_viscosity(spec)
         assert rep.converged
+        # the plain pass at h = 1/128, then the floors 1, 1/2, ..., 1/128
+        assert rep.delta_schedule == (g.spacing[0],) + tuple(0.5 ** k for k in range(8))
+        assert max(abs(local_equation(u, pr, node, epsilon=0.3)[0]) for node in g.interior_idx) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, raises=NonConvergence,
-                       reason="undamped policy iteration cycles without a source too")
     def test_comparison_pair_converges(self):
-        # the same cycle with eps = 0: pair 3 of the routes benchmark at seed 7,
-        # 17^2, (p, q, a) = (2.5, 3, 1); the residual alternates 0.991 <-> 1.15
+        # pair 3 of the routes benchmark at seed 7, 17^2, (p, q, a) = (2.5, 3, 1),
+        # eps = 0: policy iteration cycled here too (residual 0.991 <-> 1.15)
         g = Grid((17, 17))
         spec = ProblemSpec(
             grid=g, params=const_params(2.5, 3.0, a0=1.0),
@@ -392,6 +450,44 @@ class TestSolver:
         )
         _u, rep = solve_viscosity(spec)
         assert rep.converged
+        assert rep.iterations <= 8
+
+    @pytest.mark.xfail(strict=True, raises=NonConvergence,
+                       reason="the line search stalls at a local minimum of |R|^2 near the floor")
+    def test_singular_regime_trig_data_converges(self):
+        # p < 2 with a source on the comparison study's smooth data (trig
+        # series seed 1062) at 13^2: plain Newton stalls at residual 0.55,
+        # the continuation at floor 1/8 at 0.56, next to a node whose
+        # gradient sits just above the floor; policy iteration converged
+        # here in 76 iterations
+        g = Grid((13, 13))
+        spec = ProblemSpec(
+            grid=g, params=const_params(1.5, 1.8, a0=0.7), epsilon=0.5,
+            boundary=BoundaryData.from_callable(_normalized_closure(trig_series(1062, 2), g)),
+        )
+        _u, rep = solve_viscosity(spec)
+        assert rep.converged
+
+    @pytest.mark.parametrize("data,n", [
+        ("kink", 17),
+        ("saddle", 33),
+        pytest.param("kink", 33, marks=pytest.mark.xfail(
+            strict=True, raises=NonConvergence,
+            reason="the line search stalls at the last floor, plain and continued")),
+    ])
+    def test_degenerate_2d_data_converges(self, data, n):
+        # (p, q, a) = (3, 3, 0) with eps = 1 on |x - 1/2| or a saddle: both
+        # policy iteration and Gauss-Seidel failed on these
+        g = Grid((n, n))
+        pr = const_params(3.0, 3.0)
+        boundary = {
+            "kink": lambda pts: np.abs(pts[:, 0] - 0.5),
+            "saddle": lambda pts: (pts[:, 0] - 0.5) ** 2 - (pts[:, 1] - 0.5) ** 2,
+        }[data]
+        spec = ProblemSpec(grid=g, params=pr, epsilon=1.0, boundary=BoundaryData.from_callable(boundary))
+        u, rep = solve_viscosity(spec)
+        assert rep.converged
+        assert max(abs(local_equation(u, pr, node, epsilon=1.0)[0]) for node in g.interior_idx) <= 1e-9
 
     def test_nonconvergence_carries_partial_state(self):
         g = Grid((33, 33))
