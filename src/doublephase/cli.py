@@ -163,6 +163,15 @@ class _ConfigReader:
             self.diags.append((self.line(section, key), key, f"not integers: {raw!r}"))
             return default
 
+    def count(self, section, key, default=None, required=False):
+        """Exactly one integer, at least 1."""
+        values = self.integers(section, key, required=required)
+        if values is not None and (len(values) != 1 or values[0] < 1):
+            raw = self.values[(section, key)][0]
+            self.diags.append((self.line(section, key), key, f"need one integer >= 1, got {raw!r}"))
+            return default
+        return default if values is None else values[0]
+
     def numbers(self, section, key, default=None):
         raw = self.get(section, key)
         if raw is None:
@@ -238,7 +247,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
             (0, "command", f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}")
         )
 
-    dim = reader.integers("problem", "dimension", required=True)
+    dim = reader.count("problem", "dimension", required=True)
     nodes = reader.integers("problem", "nodes", required=True)
     lower = reader.numbers("problem", "lower")
     extent = reader.numbers("problem", "extent")
@@ -251,12 +260,11 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
 
     grid = None
     if dim is not None and nodes is not None:
-        d = dim[0] if isinstance(dim, tuple) else int(dim)
-        if d not in (1, 2):
+        if dim not in (1, 2):
             reader.diags.append((reader.line("problem", "dimension"), "dimension", "must be 1 or 2"))
-        elif len(nodes) != d:
+        elif len(nodes) != dim:
             reader.diags.append(
-                (reader.line("problem", "nodes"), "nodes", f"need {d} node counts, got {len(nodes)}")
+                (reader.line("problem", "nodes"), "nodes", f"need {dim} node counts, got {len(nodes)}")
             )
         else:
             try:
@@ -282,7 +290,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
             else:
                 coeff = CoefficientField.constant(a0)
         except ValueError:
-            d_for_expr = grid.dim if grid is not None else (dim[0] if dim else 2)
+            d_for_expr = grid.dim if grid is not None else (dim or 2)
             expr = _compile_closure(reader, "coefficient", raw_coeff, d_for_expr, grid)
             if expr is not None:
                 if grid is not None and np.any(expr(grid.coords) < 0.0):
@@ -330,13 +338,15 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
     seed = int(seed_override if seed_override is not None else seed_cfg)
 
     study_options = {
-        "refinements": reader.integers("study", "refinements", default=(3,))[0],
-        "trials": reader.integers("study", "trials", default=(20,))[0],
-        "cutoffs": reader.integers("study", "cutoffs", default=(20,))[0],
-        "levels": reader.integers("study", "levels", default=(4,))[0],
+        "refinements": reader.count("study", "refinements", default=3),
+        "trials": reader.count("study", "trials", default=20),
+        "cutoffs": reader.count("study", "cutoffs", default=20),
+        "levels": reader.count("study", "levels", default=4),
         "epsilons": reader.numbers("study", "epsilons", default=(1e-1, 1e-2, 1e-3)),
         "target": target,
     }
+    if not study_options["epsilons"]:
+        reader.diags.append((reader.line("study", "epsilons"), "epsilons", "need at least one value"))
 
     for (section, key), (_value, line_no) in values.items():
         if (section, key) not in reader.used:

@@ -7,6 +7,8 @@ orientation-consistent. Elements carry precomputed measures, centroids
 and P1 gradient coefficients. :class:`InteriorPattern` maps a fixed list
 of node pairs into LAPACK band storage over the interior nodes, which is
 banded in this order: both solvers assemble into it and solve through it.
+:func:`poisson_start` is the warm start of both: at p = q = 2 both reduce
+to the discrete Poisson problem.
 """
 
 import numpy as np
@@ -223,6 +225,27 @@ class InteriorPattern:
                 f"banded solve failed: {reason}", field=NodalField(self.grid, state.copy())
             )
         return x
+
+
+def poisson_start(grid, g_values, f):
+    """Warm start of both solvers: nodal values equal to ``g_values`` (at
+    ``grid.boundary_idx``) that solve -Lap_h u = f (a scalar or one value per
+    interior node) with the 3-/5-point Laplacian, by banded Cholesky. The P1
+    stiffness matrix on these right triangles is prod(h) times Lap_h and the
+    lumped load of eps is prod(h) eps, so f = eps gives the P1 minimizer of
+    the Dirichlet energy; the scheme at p = q = 2 is -(1 + a) Lap_h u = eps."""
+    interior = grid.interior_idx
+    u = np.zeros(grid.n_nodes)
+    u[grid.boundary_idx] = g_values
+    strides = np.cumprod((1,) + grid.shape[:-1])
+    inv_h2 = grid.spacing ** -2.0
+    # u is 0 at the interior nodes, so the neighbor sums are the boundary terms
+    rhs = f + sum(w * (u[interior - s] + u[interior + s]) for s, w in zip(strides, inv_h2))
+    cols = [interior] + [interior - s for s in strides]
+    pattern = InteriorPattern(grid, [interior] * len(cols), cols, symmetric=True)
+    band = pattern.fill(np.repeat(np.r_[2.0 * inv_h2.sum(), -inv_h2], len(interior)))
+    u[interior] = pattern.solve(band, rhs, u)
+    return u
 
 
 class NodalField:

@@ -10,14 +10,13 @@ energies use delta = 0. The obstacle variant is the same Newton loop as
 a projected Newton method and exposes the complementarity structure.
 """
 
-from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GridMismatch, InfeasibleObstacle, NonConvergence, ValidationError
-from .grids import InteriorPattern, NodalField, interpolate
+from .grids import InteriorPattern, NodalField, interpolate, poisson_start
 from .operators import flux_coefficients, validate_exponents
 
 __all__ = [
@@ -197,24 +196,6 @@ def _strict_gate(spec):
             raise ValidationError(f"strict exponent validation failed: {check.message}")
 
 
-def _initial_values(asm, g_values):
-    """Warm start: the minimizer of the Dirichlet energy with the same load,
-    -Lap u = eps in P1 form, reached by one Newton step from the boundary
-    data with this assembler at p = q = 2, a = 0. At delta = 1 every
-    modulus is >= 1, so the flux factor is exactly 1 and the Newton matrix
-    is the P1 stiffness matrix."""
-    grid = asm.grid
-    u = np.zeros(grid.n_nodes)
-    u[grid.boundary_idx] = g_values
-    lin = copy(asm)  # p = q = 2, a = 0, on the solve's own pattern
-    lin.p = lin.q = 2.0
-    lin.a_e = np.zeros_like(asm.a_e)
-    lin.pattern, lin.gram = asm.pattern, asm.gram
-    rhs = -lin.residual_full(u, 1.0)[grid.interior_idx]
-    u[grid.interior_idx] += asm.pattern.solve(lin.jacobian(u, 1.0), rhs, u)
-    return u
-
-
 def _newton_stages(asm, u, deltas, tol, history, psi=None, energies=None):
     """Damped Newton over the interior nodes, one pass per delta stage.
 
@@ -296,8 +277,7 @@ def solve_dirichlet(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
     _strict_gate(spec)
     asm = _Assembler(spec)
     grid = spec.grid
-    g_values = spec.boundary.values_on(grid)
-    u = _initial_values(asm, g_values)
+    u = poisson_start(grid, spec.boundary.values_on(grid), spec.epsilon)
     history = []
     energies = []
     u, iters = _newton_stages(asm, u, deltas, newton_tol, history, energies=energies)
@@ -338,7 +318,7 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
     if np.any(psi[grid.boundary_idx] > g_values + 1e-12):
         raise InfeasibleObstacle("obstacle exceeds the boundary data on the boundary")
 
-    u = _initial_values(asm, g_values)
+    u = poisson_start(grid, g_values, spec.epsilon)
     interior = grid.interior_idx
     u[interior] = np.maximum(u[interior], psi[interior])
     history = []

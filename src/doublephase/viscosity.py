@@ -33,7 +33,7 @@ from .errors import (
     NoTouchFound,
     ValidationError,
 )
-from .grids import InteriorPattern, NodalField
+from .grids import InteriorPattern, NodalField, poisson_start
 from .operators import (
     a_flux,
     first_order_term,
@@ -232,10 +232,10 @@ class _Stencil:
     grid, built once.
 
     Row k of ``nbr`` holds the neighbor at offset k of every interior node;
-    2D offsets run SW S SE W C E NW N NE. Boundary neighbors move into the
-    right-hand side and the inactive diagonal pair stays as explicit zeros,
-    so each frozen system or Newton matrix only fills the pattern. Neither
-    is symmetric, so the pattern stores the general band (half-bandwidth
+    2D offsets run SW S SE W C E NW N NE. Pairs with a (fixed) boundary
+    neighbor drop out and the inactive diagonal pair stays as explicit
+    zeros, so each Newton matrix only fills the pattern. It is not
+    symmetric, so the pattern stores the general band (half-bandwidth
     nx - 1 in 2D) and solves it by banded LU with partial pivoting.
     """
 
@@ -253,7 +253,6 @@ class _Stencil:
         self.h2 = self.h ** 2
         self.hxy = float(np.prod(grid.spacing))
         self.nbr = offsets[:, None] + interior[None, :]
-        self.inside = ~grid.boundary_mask[self.nbr]
         self.pattern = InteriorPattern(
             grid, np.broadcast_to(interior, self.nbr.shape), self.nbr, symmetric=False
         )
@@ -301,14 +300,6 @@ class _Stencil:
             W[0] = W[8] = np.where(loc.policy, -cm, 0.0)
             W[2] = W[6] = np.where(loc.policy, 0.0, -cm)
         return W
-
-    def freeze(self, u, p, q, a, ga, dv, eps):
-        """(band, rhs) of the M-matrix system W u_int = rhs with the
-        coefficients, policy and first-order term frozen at ``u``."""
-        loc = self.local(u, p, q, a, ga, dv)
-        W = self.weights(loc)
-        rhs = eps + loc.first - np.sum(W * u[self.nbr], axis=0, where=~self.inside)
-        return self.pattern.fill(W), rhs
 
     def jacobian(self, loc, p, q, a, ga):
         """Band of the Newton matrix dR/du_int at ``loc``: the frozen weights
@@ -395,13 +386,8 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_noncon
     h = float(np.max(grid.spacing))
     eps = spec.epsilon
     stencil = _Stencil(grid)
-    start = np.zeros(grid.n_nodes)
-    start[grid.boundary_idx] = spec.boundary.values_on(grid)
-
-    # warm start: the p = q = 2 build, i.e. -(1 + a) Lap u = eps
-    band, rhs = stencil.freeze(start, 2.0, 2.0, a, np.zeros_like(ga), h, eps)
-    start[interior] = stencil.pattern.solve(band, rhs, start)
-    del band  # a solved band holds LU factors: drop it before the next fill
+    # warm start: the scheme at p = q = 2, -(1 + a) Lap_h u = eps
+    start = poisson_start(grid, spec.boundary.values_on(grid), eps / (1.0 + a))
     history = []
     floors = [h]
     u, residual, status = _newton(stencil, start, law, h, eps, tol, max_iter, history)

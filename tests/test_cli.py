@@ -2,8 +2,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from doublephase.cli import main, parse_config
+from doublephase.cli import _COMMANDS, main, parse_config
 from doublephase.errors import ParseError, ValidationError
 from doublephase.expressions import compile_expression
 from doublephase.grids import read_field
@@ -47,6 +50,43 @@ directory = {out}
 prefix = study
 """
 
+# a study config whose dimension and [study] lines a test fills in
+STUDY_TEMPLATE = """
+[problem]
+dimension = {dimension}
+nodes = 9 9
+p = 2.5
+q = 3.0
+coefficient = 1.0
+boundary = 0.5*x + 0.3*y
+
+[study]
+{study}
+"""
+
+
+def _grow(children):
+    """One grammar step over (text, abs arguments) pairs."""
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children).map(
+            lambda t: (f"({t[0][0]} {t[1]} {t[2][0]})", t[0][1] + t[2][1])),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: (f"({t[0][0]})^{t[1]}", t[0][1])),
+        children.map(lambda c: (f"-({c[0]})", c[1])),
+        st.tuples(st.sampled_from(["sin", "cos", "abs"]), children).map(
+            lambda t: (f"{t[0]}({t[1][0]})", t[1][1] + ((t[1][0],) if t[0] == "abs" else ()))),
+    )
+
+
+# random expression trees of the grammar, each with the arguments of its abs calls
+expression_trees = st.recursive(
+    st.one_of(
+        st.sampled_from(["x", "y"]).map(lambda v: (v, ())),
+        st.floats(0.0, 3.0).map(lambda c: (format(c, ".4g"), ())),
+    ),
+    _grow,
+    max_leaves=8,
+)
+
 
 class TestExpressions:
     def test_polynomial(self):
@@ -76,6 +116,35 @@ class TestExpressions:
             e[axis] = h
             fd = (f(pts + e) - f(pts - e)) / (2 * h)
             np.testing.assert_allclose(g[:, axis], fd, atol=1e-8)
+
+    @settings(max_examples=300)
+    @given(expression_trees, hnp.arrays(float, (8, 2), elements=st.floats(-1.0, 1.0)))
+    def test_partials_match_central_differences(self, tree, pts):
+        text, kinks = tree
+        f = compile_expression(text)
+        h = 1e-4
+        for axis in range(2):
+            e = np.zeros(2)
+            e[axis] = h
+            stencil = [pts + k * e for k in (-2, -1, 1, 2)]
+            # abs only away from its kink: each argument keeps one sign, at
+            # least 1e-3 off zero, over the difference stencil
+            keep = np.ones(len(pts), dtype=bool)
+            for arg in kinks:
+                vals = np.array([compile_expression(arg)(x) for x in [pts] + stencil])
+                keep &= np.all(vals > 1e-3, axis=0) | np.all(vals < -1e-3, axis=0)
+
+            def central(step):
+                fm2, fm1, fp1, fp2 = (f(pts + k * step * e / h) for k in (-2, -1, 1, 2))
+                return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * step)
+
+            # fourth-order quotients; where the step does not resolve f,
+            # the two quotients disagree by 15 times the finer one's error
+            fine, coarse = central(h / 2), central(h)
+            exact = f.partial(axis)(pts)
+            scale = 1.0 + np.abs(f(pts)) + np.abs(exact)
+            bound = 1e-7 * scale + np.abs(coarse - fine)
+            assert np.all((np.abs(exact - fine) <= bound)[keep]), text
 
     def test_fractional_power_domain_guard(self):
         f = compile_expression("x^0.5")
@@ -159,6 +228,27 @@ class TestMain:
 
     def test_missing_file_exit_2(self):
         assert main(["solve-var", "--config", "/nonexistent/x.cfg"]) == 2
+
+    @pytest.mark.parametrize("command", [c for c in _COMMANDS if c.startswith("study:")])
+    @pytest.mark.parametrize("key, value", [
+        ("dimension", ""), ("dimension", "2 2"),
+        ("refinements", ""), ("trials", ""), ("cutoffs", ""), ("levels", ""),
+        ("refinements", "0"), ("trials", "0"), ("cutoffs", "0"),
+        ("levels", "0"), ("levels", "-1"), ("levels", "2 3"),
+        ("epsilons", ""),
+    ])
+    def test_bad_count_or_list_exit_2_naming_the_key(self, tmp_path, capsys, command, key, value):
+        # every count is one integer (refinements, trials, cutoffs and levels
+        # at least 1) and epsilons is not empty; else a diagnostic, not a crash
+        fields = {"dimension": "2", "study": ""}
+        if key == "dimension":
+            fields["dimension"] = value
+        else:
+            fields["study"] = f"{key} = {value}"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(STUDY_TEMPLATE.format(**fields))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"{key}: " in capsys.readouterr().err
 
     def test_nonconstant_coefficient_study_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "nc.cfg"

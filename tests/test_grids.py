@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import dense_from_band
+from oracles import dense_from_band, quadratic_obstacle_solution
 
 from doublephase.errors import CountMismatch, InvalidField, LinearSolveFailure, MalformedHeader
 from doublephase.grids import (
@@ -14,6 +14,7 @@ from doublephase.grids import (
     element_gradients,
     interpolate,
     p1_gradient,
+    poisson_start,
     read_field,
     write_field,
 )
@@ -232,3 +233,30 @@ class TestInteriorPattern:
         with pytest.raises(LinearSolveFailure, match=reason) as info:
             pattern.solve(band, np.full(len(interior), 1e10), state)
         np.testing.assert_array_equal(info.value.field.values, state)
+
+
+@st.composite
+def poisson_cases(draw):
+    """Nodal data on a 1D, square or non-square grid whose extents differ
+    per axis (so hx != hy), with a in [0, 2] and eps in [0, 2]."""
+    nx = draw(st.integers(3, 9))
+    shape = draw(st.sampled_from([(nx,), (nx, nx), (nx, draw(st.integers(3, 9)))]))
+    grid = Grid(shape, extent=[draw(st.floats(0.25, 4.0)) for _ in shape])
+    g = draw(hnp.arrays(float, grid.n_nodes, elements=st.floats(-2.0, 2.0)))
+    return grid, g, draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+
+
+class TestPoissonStart:
+    @settings(max_examples=100)
+    @given(poisson_cases())
+    def test_matches_dense_p1_solve(self, case):
+        # with no obstacle the oracle is the dense solve of the p = q = 2 P1
+        # system: (1 + a) times the Laplacian scaled by prod(h), load eps prod(h)
+        grid, g, a, eps = case
+        b = grid.boundary_idx
+        no_obstacle = np.full(grid.n_nodes, -np.inf)
+        for a_, f in ((a, eps / (1.0 + a)), (0.0, eps)):
+            exact = quadratic_obstacle_solution(grid.shape, grid.spacing, a_, eps, g, no_obstacle)
+            u = poisson_start(grid, g[b], f)
+            np.testing.assert_array_equal(u[b], g[b])
+            assert np.max(np.abs(u - exact)) <= 1e-12 * (1.0 + np.max(np.abs(exact)))

@@ -181,14 +181,15 @@ class TestFrozenSystem:
         law = (pr.p, pr.q, pr.coeff.value(pts), pr.coeff.grad_value(pts))
         stencil = _Stencil(grid)
         h = float(np.max(grid.spacing))
-        band, rhs = stencil.freeze(field.values, *law, h, eps)
-        K = dense_from_band(band, symmetric=False)
+        loc = stencil.local(field.values, *law, h)
+        W = stencil.weights(loc)
+        K = dense_from_band(stencil.pattern.fill(W), symmetric=False)
         diag = np.diag(K)
         assert np.all(diag > 0.0)
         assert np.all(K - np.diag(diag) <= 0.0)
         assert np.all(K.sum(axis=1) >= -1e-12 * diag)
-        scheme = K @ field.values[interior] - rhs
-        residual = stencil.residual(stencil.local(field.values, *law, h), eps)
+        scheme = np.sum(W * field.values[stencil.nbr], axis=0) - loc.first - eps
+        residual = stencil.residual(loc, eps)
         np.testing.assert_allclose(residual, scheme, rtol=0.0,
                                    atol=1e-12 * (1.0 + float(np.max(diag)) * 2.0))
         for k, node in enumerate(interior):
@@ -281,6 +282,20 @@ class TestSolver:
         u, rep = solve_viscosity(spec)
         assert rep.converged
         assert np.max(np.abs(u.values - g.coords[:, 0])) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(33,), (17, 17), (33, 17)])
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_linear_scheme_needs_no_newton_step(self, shape, eps):
+        # at p = q = 2 the scheme is -(1 + a) Lap_h u = eps, which the warm
+        # start solves exactly
+        g = Grid(shape)
+        spec = ProblemSpec(
+            grid=g, params=const_params(2.0, 2.0, a0=0.5), epsilon=eps,
+            boundary=BoundaryData.from_callable(lambda pts: np.sin(3.0 * pts[:, 0]) + pts[:, -1]),
+        )
+        _, rep = solve_viscosity(spec)
+        assert rep.iterations == 0
+        assert rep.residual_norm <= 1e-10
 
     def test_2d_harmonic_quadratic_exact_stencil(self):
         g = Grid((33, 33))
