@@ -4,9 +4,12 @@ Nodes are ordered row-major with x fastest: node (ix, iy) has flat index
 ``iy * nx + ix``. Every 2D cell is split into two triangles along the
 lower-left to upper-right diagonal, so assembly is deterministic and
 orientation-consistent. Elements carry precomputed measures, centroids
-and P1 gradient coefficients. :class:`InteriorPattern` maps a fixed list
-of node pairs into LAPACK band storage over the interior nodes, which is
-banded in this order: both solvers assemble into it and solve through it.
+and P1 gradient coefficients; :data:`ELEMENT_TYPES` describes the one
+segment (1D) or the two triangles (2D) of a cell once, with constant P1
+gradients, so that assembly can run on slices of the nodal values.
+:class:`InteriorPattern` holds LAPACK band storage over the interior
+nodes, which is banded in this order, with one band row per node offset
+of a stencil: both solvers assemble into it and solve through it.
 :func:`poisson_start` is the warm start of both: at p = q = 2 both reduce
 to the discrete Poisson problem.
 """
@@ -29,6 +32,20 @@ __all__ = [
 ]
 
 _MAGIC = "DPFIELD v1"
+
+# The element types of a cell, per dimension. Each is the vertex offsets
+# (dx[, dy]) from the cell's first node, and per axis the (tail, head)
+# vertices whose difference over that axis' spacing is that component of
+# the P1 gradient. A 2D cell holds the lower (00, 10, 11) and the upper
+# (00, 11, 01) triangle; ``Grid.elements`` lists the elements type by type,
+# cells in node order within a type.
+ELEMENT_TYPES = {
+    1: ((((0,), (1,)), ((0, 1),)),),
+    2: (
+        (((0, 0), (1, 0), (1, 1)), ((0, 1), (1, 2))),
+        (((0, 0), (1, 1), (0, 1)), ((2, 1), (0, 2))),
+    ),
+}
 
 
 class Grid:
@@ -81,19 +98,14 @@ class Grid:
         self.interior_idx = np.flatnonzero(~boundary)
 
     def _build_elements(self):
-        if self.dim == 1:
-            n = self.shape[0]
-            self.elements = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-        else:
-            nx, ny = self.shape
-            ix, iy = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="xy")
-            v00 = (iy * nx + ix).ravel()
-            v10 = v00 + 1
-            v01 = v00 + nx
-            v11 = v01 + 1
-            lower = np.column_stack([v00, v10, v11])
-            upper = np.column_stack([v00, v11, v01])
-            self.elements = np.vstack([lower, upper])
+        self.element_types = ELEMENT_TYPES[self.dim]
+        strides = np.cumprod((1,) + self.shape[:-1])
+        # first node of every cell (all but the last node along each axis)
+        first = np.arange(self.n_nodes).reshape(self.shape[::-1])[(slice(0, -1),) * self.dim].ravel()
+        self.elements = np.vstack([
+            np.column_stack([first + np.dot(offset, strides) for offset in verts])
+            for verts, _edges in self.element_types
+        ])
         verts = self.coords[self.elements]  # (m, dim+1, dim)
         self.element_centroids = verts.mean(axis=1)
         if self.dim == 1:
@@ -165,43 +177,61 @@ class Grid:
 
 
 class InteriorPattern:
-    """LAPACK band storage, over the interior nodes of ``grid`` in
-    ``grid.interior_idx`` order, of a fixed list of (row, col) node pairs.
+    """LAPACK band storage over the interior nodes of ``grid``, in
+    ``grid.interior_idx`` order, of a stencil given by its node offsets.
 
-    In this natural order every pair of a 3-/9-point stencil or of the P1
-    graph lies within half-bandwidth ``bw`` = nx - 1 of the diagonal (1 in
-    1D); ``bw`` is read off the pairs. Pairs that touch a boundary node
-    are dropped. A ``symmetric`` pattern keeps the lower triangle in the
-    (bw + 1)-row layout of pbsv (Cholesky; at 129² the lower form factors
-    about 1.5 times as fast as the upper one); a general one uses the
-    (3 bw + 1)-row layout of gbsv (LU with partial pivoting), whose top bw
-    rows are pivot room. Each kept pair owns one slot of the
-    Fortran-ordered band, so :meth:`fill` is one ``bincount`` that sums
-    repeated pairs, and LAPACK factors the band in place without a copy.
+    ``offsets`` holds one (dx,) or (dx, dy) node offset per band row of
+    :meth:`fill`; ``steps`` are the same offsets in flat node indices. In
+    this natural order the coupling at node offset (dx, dy) lies dx + dy
+    (nx - 2) interior positions from the diagonal, so a 3-/9-point stencil
+    or the P1 graph gives half-bandwidth ``bw`` = nx - 1 (1 in 1D). A
+    ``symmetric`` pattern takes offsets of the lower triangle (such as C,
+    W, S, SW) and keeps the (bw + 1)-row layout of pbsv (Cholesky; at 129² the
+    lower form factors about 1.5 times as fast as the upper one); a general
+    one uses the (3 bw + 1)-row layout of gbsv (LU with partial pivoting),
+    whose top bw rows are pivot room. Each offset owns one band row, so
+    :meth:`fill` is one strided copy per offset, and LAPACK factors the
+    band in place without a copy.
     """
 
-    def __init__(self, grid, rows, cols, symmetric):
+    def __init__(self, grid, offsets, symmetric):
+        offsets = np.asarray(offsets, dtype=int).reshape(-1, grid.dim)
+        inner = np.array(grid.shape) - 2  # interior nodes per axis
+        self.steps = offsets @ np.cumprod((1,) + grid.shape[:-1])
+        shift = offsets @ np.cumprod((1,) + tuple(inner[:-1]))
+        if symmetric and np.any(shift > 0):
+            raise ValueError("a symmetric pattern takes the offsets of the lower triangle")
         n = len(grid.interior_idx)
-        pos = np.full(grid.n_nodes, -1)
-        pos[grid.interior_idx] = np.arange(n)
-        rows, cols = pos[np.ravel(rows)], pos[np.ravel(cols)]
-        keep = (rows >= 0) & (cols >= 0)
-        if symmetric:
-            keep &= rows >= cols
         self.grid = grid
-        self.bw = bw = int(np.max(np.abs(rows - cols)[keep], initial=0))
+        self.bw = bw = int(np.max(np.abs(shift), initial=0))
         self.symmetric = symmetric
         self.diag_row = 0 if symmetric else 2 * bw
         self.lead = bw + 1 if symmetric else 3 * bw + 1
         self.n = n
-        # a dropped pair writes to one spare slot past the band
-        slot = np.where(keep, cols * self.lead + self.diag_row + rows - cols, self.lead * n)
-        self.slot = slot.astype(np.int32)
+        # interior node i couples to i + s, stored in column i + s; i runs
+        # over [lo, hi), and ``inside`` drops the couplings whose other node
+        # is a boundary node (off the interior block along some axis)
+        at = np.array(np.unravel_index(np.arange(n), tuple(inner[::-1]))[::-1])[:, None, :] + offsets.T[:, :, None]
+        inside = np.all((at >= 0) & (at < inner[:, None, None]), axis=0)
+        self._rows = []
+        for s, keep in zip(shift.tolist(), inside):
+            lo = min(n, max(0, -s))
+            hi = max(lo, n - max(0, s))
+            self._rows.append((self.diag_row - s, s, lo, hi, keep[lo:hi]))
 
-    def fill(self, values):
-        """Band (lead, n) in Fortran order from one value per pair."""
-        data = np.bincount(self.slot, weights=np.ravel(values), minlength=self.lead * self.n + 1)
-        return data[:-1].reshape(self.n, self.lead).T
+    def fill(self, values, active=None):
+        """Band (lead, n) in Fortran order; ``values[k][i]`` couples interior
+        node i to its neighbour at ``offsets[k]`` (``values[k]`` may be one
+        scalar for every node). Interior nodes in the mask
+        ``active`` become identity rows and columns: every coupling that
+        touches one is dropped and its diagonal is 1."""
+        band = np.zeros((self.n, self.lead)).T
+        for (row, s, lo, hi, inside), v in zip(self._rows, values):
+            keep = inside if active is None else inside & ~active[lo:hi] & ~active[lo + s:hi + s]
+            np.copyto(band[row, lo + s:hi + s], v[lo:hi] if np.ndim(v) else v, where=keep)
+        if active is not None:
+            band[self.diag_row, active] = 1.0
+        return band
 
     def diagonal(self, band):
         return band[self.diag_row]
@@ -241,9 +271,9 @@ def poisson_start(grid, g_values, f):
     inv_h2 = grid.spacing ** -2.0
     # u is 0 at the interior nodes, so the neighbor sums are the boundary terms
     rhs = f + sum(w * (u[interior - s] + u[interior + s]) for s, w in zip(strides, inv_h2))
-    cols = [interior] + [interior - s for s in strides]
-    pattern = InteriorPattern(grid, [interior] * len(cols), cols, symmetric=True)
-    band = pattern.fill(np.repeat(np.r_[2.0 * inv_h2.sum(), -inv_h2], len(interior)))
+    # the centre, then the backward neighbour along each axis: C, W[, S]
+    pattern = InteriorPattern(grid, np.vstack([np.zeros(grid.dim), -np.eye(grid.dim)]), symmetric=True)
+    band = pattern.fill(np.r_[2.0 * inv_h2.sum(), -inv_h2])
     u[interior] = pattern.solve(band, rhs, u)
     return u
 

@@ -10,6 +10,7 @@ energies use delta = 0. The obstacle variant is the same Newton loop as
 a projected Newton method and exposes the complementarity structure.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -88,83 +89,138 @@ class SolveReport:
 
 
 class _Assembler:
-    """Precomputed element data for one spec; all hot loops live here."""
+    """Per-spec data of the discrete energy; all hot loops live here.
+
+    The nodal values are read as an array over the grid, (ny, nx) in 2D,
+    and each element type of ``grid.element_types`` as one slice of it per
+    vertex, over all cells at once; per-element arrays are (types, cells).
+    Every element has the measure prod(h) / dim!, and the elements of one
+    type share their constant P1 gradients: along axis i, the difference of
+    two vertices over h_i.
+    """
 
     def __init__(self, spec):
         grid = spec.grid
         self.grid = grid
         self.p, self.q = spec.params.p, spec.params.q
         self.epsilon = spec.epsilon
-        self.conn = grid.elements
-        self.gcoef = grid.grad_coeffs
-        self.weights = grid.element_measures
-        self.a_e = spec.params.coeff.value(grid.element_centroids)
-        k = self.conn.shape[1]
-        load = np.zeros(grid.n_nodes)
-        np.add.at(load, self.conn, np.repeat(self.weights[:, None] / k, k, axis=1))
-        self.load = load
+        self.shape = grid.shape[::-1]
+        cells = tuple(s - 1 for s in self.shape)
+        self.inv_h = (1.0 / grid.spacing).reshape((-1,) + (1,) * (grid.dim + 1))
+        self.measure = float(np.prod(grid.spacing)) / math.factorial(grid.dim)
+        self.a_e = spec.params.coeff.value(grid.element_centroids).reshape((-1,) + cells)
+        # per type: one slice per vertex; per axis and type: the slices of
+        # the head and tail vertices whose difference is that gradient part
+        self.cuts = [
+            [tuple(slice(o, o + c) for o, c in zip(v[::-1], cells)) for v in verts]
+            for verts, _edges in grid.element_types
+        ]
+        self.diffs = [
+            (i, t, cuts[head], cuts[tail])
+            for t, (cuts, (_verts, edges)) in enumerate(zip(self.cuts, grid.element_types))
+            for i, (tail, head) in enumerate(edges)
+        ]
+        load = np.zeros(self.shape)
+        for cuts in self.cuts:
+            for cut in cuts:
+                load[cut] += self.measure / len(cuts)
+        self.load = load.reshape(-1)
+
+    @cached_property
+    def couplings(self):
+        """How the element matrices fill the band of the P1 graph's lower
+        triangle (offsets C, W in 1D; C, W, S, SW in 2D). Entry (k, l) of an
+        element matrix is |e| grad phi_k . T grad phi_l, linear in the
+        components T_ij of the element's tensor. Returns the offsets, the
+        matrices (types, pairs, dim^2) taking those components to the
+        entries of each type's vertex pairs, and per type each pair's row
+        vertex (the later node) and the index of its offset."""
+        strides = np.cumprod((1,) + self.grid.shape[:-1]).tolist()
+        inv_h = 1.0 / self.grid.spacing
+        offsets, weights, targets = [], [], []
+        for verts, edges in self.grid.element_types:
+            grad = np.zeros((len(verts), self.grid.dim))
+            for i, (tail, head) in enumerate(edges):
+                grad[head, i] += inv_h[i]
+                grad[tail, i] -= inv_h[i]
+            pairs = [(k, l) for k in range(len(verts)) for l in range(k, len(verts))]
+            first, second = zip(*pairs)
+            entry = grad[list(first)][:, :, None] * grad[list(second)][:, None, :]
+            weights.append(self.measure * entry.reshape(len(pairs), -1))
+            steps = [sum(o * s for o, s in zip(v, strides)) for v in verts]  # flat node offsets
+            targets.append([])
+            for k, l in pairs:
+                row, other = (l, k) if steps[l] > steps[k] else (k, l)
+                offset = tuple(a - b for a, b in zip(verts[other], verts[row]))
+                if offset not in offsets:
+                    offsets.append(offset)
+                targets[-1].append((row, offsets.index(offset)))
+        return offsets, np.array(weights), targets
 
     @cached_property
     def pattern(self):
-        """The P1 graph: node pair (conn[e, k], conn[e, l]) of every element,
-        in the order of the (e, k, l) element matrices; the Newton matrix
-        is SPD for delta > 0, so its lower triangle is stored."""
-        k = self.conn.shape[1]
-        return InteriorPattern(
-            self.grid, np.repeat(self.conn, k, axis=1), np.tile(self.conn, (1, k)), symmetric=True
-        )
+        """The P1 graph in band storage; the Newton matrix is SPD for
+        delta > 0, so its lower triangle is stored."""
+        return InteriorPattern(self.grid, self.couplings[0], symmetric=True)
 
-    @cached_property
-    def gram(self):
-        return np.einsum("eki,eli->ekl", self.gcoef, self.gcoef)
-
-    def gradients(self, values):
-        return np.einsum("eki,ek->ei", self.gcoef, values[self.conn])
+    def _gradients(self, values):
+        """P1 gradients G (dim, types, cells) and |G|^2 (types, cells)."""
+        v = values.reshape(self.shape)
+        G = np.empty((self.grid.dim,) + self.a_e.shape)
+        for i, t, head, tail in self.diffs:
+            np.subtract(v[head], v[tail], out=G[i, t])
+        G *= self.inv_h
+        return G, (G * G).sum(axis=0)
 
     def energy(self, values, delta):
         p, q = self.p, self.q
-        G = self.gradients(values)
-        m = np.sqrt(np.sum(G * G, axis=1) + delta * delta)
-        dens = m ** p / p + self.a_e * m ** q / q
-        e = float(np.sum(self.weights * dens))
+        m = np.sqrt(self._gradients(values)[1] + delta * delta)
+        e = self.measure * float(np.sum(m ** p / p + self.a_e * m ** q / q))
         if self.epsilon != 0.0:
             e -= self.epsilon * float(np.dot(self.load, values))
         return e
 
     def residual_full(self, values, delta):
-        G = self.gradients(values)
-        m = np.sqrt(np.sum(G * G, axis=1) + delta * delta)
-        factor = np.zeros_like(m)
+        G, g2 = self._gradients(values)
+        m = np.sqrt(g2 + delta * delta)
         pos = m > 0.0
-        factor[pos] = flux_coefficients(self.p, self.q, self.a_e[pos], m[pos])[0]
-        flux = factor[:, None] * G
-        contrib = np.einsum("eki,ei->ek", self.gcoef, flux) * self.weights[:, None]
-        r = np.zeros(self.grid.n_nodes)
-        np.add.at(r, self.conn, contrib)
-        return r - self.epsilon * self.load
+        if np.all(pos):
+            S = flux_coefficients(self.p, self.q, self.a_e, m)[0]
+        else:
+            S = np.zeros_like(m)
+            S[pos] = flux_coefficients(self.p, self.q, self.a_e[pos], m[pos])[0]
+        # |e| A(Du) . grad phi: +-A_i / h_i at the head and tail of axis i
+        flux = (self.measure * S) * G * self.inv_h
+        r = np.zeros(self.shape)
+        for i, t, head, tail in self.diffs:
+            r[head] += flux[i, t]
+            r[tail] -= flux[i, t]
+        return r.reshape(-1) - self.epsilon * self.load
 
     def jacobian(self, values, delta, active=None):
         """Newton matrix over the interior nodes, in the band storage of
-        :attr:`pattern`. Interior nodes in the nodal mask ``active`` become
-        identity rows and columns, decoupled from the free block, so the
-        band and the SPD property survive and a zero right-hand side there
-        gives a zero step."""
-        G = self.gradients(values)
-        m2 = np.sum(G * G, axis=1) + delta * delta
+        :attr:`pattern`: each element's tensor T = |e| (S I + Gamma/m^2 G G^T)
+        goes straight into one coupling array per band offset. Interior
+        nodes in the nodal mask ``active`` become identity rows and columns,
+        decoupled from the free block, so the band and the SPD property
+        survive and a zero right-hand side there gives a zero step."""
+        offsets, weights, targets = self.couplings
+        G, g2 = self._gradients(values)
+        m2 = g2 + delta * delta
         s1, gam = flux_coefficients(self.p, self.q, self.a_e, np.sqrt(m2))
-        s2 = gam / m2
-        d = np.einsum("eki,ei->ek", self.gcoef, G)
-        B = self.weights[:, None, None] * (
-            s1[:, None, None] * self.gram
-            + s2[:, None, None] * d[:, :, None] * d[:, None, :]
+        # T / |e| = S I + Gamma/m^2 G G^T, then (types, dim^2, cells)
+        T = ((gam / m2) * G)[:, None] * G[None, :]
+        for i in range(len(G)):
+            T[i, i] += s1
+        T = T.reshape(weights.shape[2], len(s1), -1).swapaxes(0, 1)
+        A = np.zeros((len(offsets),) + self.shape)
+        for entries, cuts, pairs in zip(weights @ T, self.cuts, targets):
+            for (row, off), entry in zip(pairs, entries):
+                A[off][cuts[row]] += entry.reshape(s1.shape[1:])
+        inner = (slice(None),) + (slice(1, -1),) * self.grid.dim
+        return self.pattern.fill(
+            A[inner].reshape(len(offsets), -1), None if active is None else active[self.grid.interior_idx]
         )
-        if active is None:
-            return self.pattern.fill(B)
-        free = ~active[self.conn]
-        B *= free[:, :, None] & free[:, None, :]
-        band = self.pattern.fill(B)
-        self.pattern.diagonal(band)[active[self.grid.interior_idx]] = 1.0
-        return band
 
 
 def energy(field, spec, delta=0.0):

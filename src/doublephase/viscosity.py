@@ -210,8 +210,9 @@ class _Local(NamedTuple):
     w = eta/m, the law S and ``gam``, the diagonal and mixed entries of
     M = S I + Gamma w w^T, the mixed-stencil ``policy`` (NE-SW pair where
     M12 >= 0), the axis and sign-adapted mixed second differences, the
-    diagonal (``centre``) weight and the first-order term. Vectors are
-    (dim, n); 1D has no mixed entry (``m12`` = ``dxy`` = 0)."""
+    diagonal (``centre``) weight and the first-order term (0.0 for a
+    constant coefficient). Vectors are (dim, n); 1D has no mixed entry
+    (``m12`` = ``dxy`` = 0)."""
 
     eta: np.ndarray
     norm: np.ndarray
@@ -224,7 +225,7 @@ class _Local(NamedTuple):
     d2: np.ndarray
     dxy: object
     centre: np.ndarray
-    first: np.ndarray
+    first: object
 
 
 class _Stencil:
@@ -232,34 +233,31 @@ class _Stencil:
     grid, built once.
 
     Row k of ``nbr`` holds the neighbor at offset k of every interior node;
-    2D offsets run SW S SE W C E NW N NE. Pairs with a (fixed) boundary
-    neighbor drop out and the inactive diagonal pair stays as explicit
-    zeros, so each Newton matrix only fills the pattern. It is not
+    2D offsets run SW S SE W C E NW N NE. A weight array W with one row per
+    offset is one Newton matrix: the pattern writes row k into band row k
+    and drops the weights of (fixed) boundary neighbors. It is not
     symmetric, so the pattern stores the general band (half-bandwidth
     nx - 1 in 2D) and solves it by banded LU with partial pivoting.
     """
 
     def __init__(self, grid):
         self.grid = grid
-        interior = grid.interior_idx
         if grid.dim == 1:
-            offsets = np.array([-1, 0, 1])
+            offsets = [(-1,), (0,), (1,)]
             self.minus, self.centre, self.plus = [0], 1, [2]
         else:
-            nx = grid.shape[0]
-            offsets = np.array([dy * nx + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+            offsets = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
             self.minus, self.centre, self.plus = [3, 1], 4, [5, 7]
         self.h = np.asarray(grid.spacing, dtype=float)[:, None]
         self.h2 = self.h ** 2
         self.hxy = float(np.prod(grid.spacing))
-        self.nbr = offsets[:, None] + interior[None, :]
-        self.pattern = InteriorPattern(
-            grid, np.broadcast_to(interior, self.nbr.shape), self.nbr, symmetric=False
-        )
+        self.pattern = InteriorPattern(grid, offsets, symmetric=False)
+        self.nbr = self.pattern.steps[:, None] + grid.interior_idx[None, :]
 
     def local(self, u, p, q, a, ga, dv):
         """The scheme at the centered gradient of ``u`` with gradient floor
-        ``dv``; ``a``/``ga`` are given at interior nodes."""
+        ``dv``; ``a``/``ga`` are given at interior nodes, and ``ga`` is None
+        for a constant a, whose first-order term is identically 0."""
         uv = u[self.nbr]
         up, um, uc = uv[self.plus], uv[self.minus], uv[self.centre]
         eta = (up - um) / (2.0 * self.h)
@@ -280,7 +278,7 @@ class _Stencil:
             cross = (up + um).sum(axis=0) - 2.0 * uc
             dxy = np.where(policy, uv[0] + uv[8] - cross, cross - uv[2] - uv[6]) / (2.0 * self.hxy)
         centre = 2.0 * (mdiag / self.h2).sum(axis=0) - 2.0 * np.abs(m12) / self.hxy
-        first = first_order_term(q, m, eta.T, ga)
+        first = 0.0 if ga is None else first_order_term(q, m, eta.T, ga)
         return _Local(eta, norm, m, w, gam, mdiag, m12, policy, d2, dxy, centre, first)
 
     @staticmethod
@@ -312,7 +310,8 @@ class _Stencil:
         Dw = loc.d2 * loc.w + loc.dxy * loc.w[::-1]  # D^2 u w with D^2 u = [[d2x, dxy], [dxy, d2y]]
         wDw = (loc.w * Dw).sum(axis=0)
         g = (dS * loc.d2.sum(axis=0) + dgam * wDw) * dm + 2.0 * loc.gam * (Dw - dm * wDw) / loc.m
-        g += first_order_term_gradient(q, loc.m, loc.eta.T, ga, dm.T).T
+        if ga is not None:
+            g += first_order_term_gradient(q, loc.m, loc.eta.T, ga, dm.T).T
         g /= 2.0 * self.h  # d eta_j / d u at the +h_j and -h_j neighbors
         W[self.plus] -= g
         W[self.minus] += g
@@ -381,7 +380,9 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_noncon
     a_nodes, ga_nodes = _coefficient_fields(spec, allow_nonconstant)
     grid = spec.grid
     interior = grid.interior_idx
-    a, ga = a_nodes[interior], ga_nodes[interior]
+    a = a_nodes[interior]
+    # grad a = 0 for a constant a: skip the first-order term and its gradient
+    ga = None if spec.params.coeff.is_constant else ga_nodes[interior]
     law = (spec.params.p, spec.params.q, a, ga)
     h = float(np.max(grid.spacing))
     eps = spec.epsilon

@@ -234,3 +234,72 @@ def difference_jacobian(residual_at, values, nodes, neighbors, step=1e-7):
             J[k, col[nb]] = 0.5 * (fwd + bwd)
             spread[k, col[nb]] = abs(fwd - bwd)
     return J, spread
+
+
+class ElementAssembly:
+    """The P1 double-phase energy assembled element by element: gathers of
+    the nodal values through ``grid.elements``, the per-element gradient
+    coefficients ``grid.grad_coeffs`` and measures, ``einsum`` and
+    ``np.add.at``, with the law S = m^(p-2) + a m^(q-2),
+    Gamma = (p-2) m^(p-2) + (q-2) a m^(q-2) written out again. ``a_e`` holds
+    a at the element centroids; m = sqrt(|Du|^2 + delta^2).
+    """
+
+    def __init__(self, grid, p, q, a_e, eps):
+        self.grid, self.p, self.q, self.a_e, self.eps = grid, p, q, a_e, eps
+        self.conn = grid.elements
+        self.gcoef = grid.grad_coeffs
+        self.weights = grid.element_measures
+        k = self.conn.shape[1]
+        self.load = np.zeros(grid.n_nodes)
+        np.add.at(self.load, self.conn, np.repeat(self.weights[:, None] / k, k, axis=1))
+
+    def _modulus(self, values, delta):
+        G = np.einsum("eki,ek->ei", self.gcoef, values[self.conn])
+        return G, np.sqrt(np.sum(G * G, axis=1) + delta * delta)
+
+    def energy(self, values, delta):
+        """(energy, scale): scale sums the absolute values of its terms."""
+        _G, m = self._modulus(values, delta)
+        dens = float(np.sum(self.weights * (m ** self.p / self.p + self.a_e * m ** self.q / self.q)))
+        source = self.eps * float(np.dot(self.load, values))
+        return dens - source, dens + abs(source)
+
+    def residual_full(self, values, delta):
+        """(residual at every node, scale): scale is the largest sum of
+        absolute element contributions at one node."""
+        G, m = self._modulus(values, delta)
+        S = np.zeros_like(m)
+        pos = m > 0.0
+        S[pos] = m[pos] ** (self.p - 2.0) + self.a_e[pos] * m[pos] ** (self.q - 2.0)
+        contrib = np.einsum("eki,ei->ek", self.gcoef, S[:, None] * G) * self.weights[:, None]
+        r = np.zeros(self.grid.n_nodes)
+        np.add.at(r, self.conn, contrib)
+        size = np.zeros(self.grid.n_nodes)
+        np.add.at(size, self.conn, np.abs(contrib))
+        return r - self.eps * self.load, float(np.max(size + self.eps * self.load))
+
+    def jacobian(self, values, delta, active=None):
+        """Dense Newton matrix over ``grid.interior_idx``: the element
+        matrices |e| (S grad phi_k . grad phi_l + Gamma/m^2 (grad phi_k . Du)
+        (grad phi_l . Du)) summed by ``np.add.at``. Nodes in the nodal mask
+        ``active`` get identity rows and columns."""
+        G, m = self._modulus(values, delta)
+        fp = m ** (self.p - 2.0)
+        fq = self.a_e * m ** (self.q - 2.0)
+        S, gam = fp + fq, (self.p - 2.0) * fp + (self.q - 2.0) * fq
+        gram = np.einsum("eki,eli->ekl", self.gcoef, self.gcoef)
+        d = np.einsum("eki,ei->ek", self.gcoef, G)
+        B = self.weights[:, None, None] * (
+            S[:, None, None] * gram + (gam / m ** 2)[:, None, None] * d[:, :, None] * d[:, None, :]
+        )
+        k = self.conn.shape[1]
+        K = np.zeros((self.grid.n_nodes,) * 2)
+        np.add.at(K, (np.repeat(self.conn, k, axis=1), np.tile(self.conn, (1, k))), B.reshape(len(B), -1))
+        interior = self.grid.interior_idx
+        K = K[np.ix_(interior, interior)]
+        if active is not None:
+            on = active[interior]
+            K[on] = K[:, on] = 0.0
+            K[on, on] = 1.0
+        return K

@@ -260,6 +260,14 @@ class TestMain:
         assert code == 2
         assert "constant coefficient" in capsys.readouterr().err
 
+    def test_equivalence_with_exactly_agreeing_routes_exit_0(self, tmp_path, capsys):
+        # affine data: both routes stay at the Poisson start, so every route
+        # gap is exactly 0, which counts as not increasing
+        cfg = tmp_path / "eq.cfg"
+        cfg.write_text(STUDY_TEMPLATE.format(dimension=2, study=""))
+        assert main(["study:equivalence", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+
     def test_study_pass_exit_0_and_csv(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(STUDY_2D.format(out=tmp_path))

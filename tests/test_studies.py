@@ -81,6 +81,20 @@ class TestEquivalence:
         table = equivalence_study(spec, 3)
         assert all(row[2] <= 1e-10 for row in table.rows)
 
+    @pytest.mark.parametrize("gaps, verdict", [
+        ((0.0, 0.0, 0.0), True),
+        ((1e-3, 0.0, 0.0), True),
+        ((1e-3, 4e-4, 0.0), True),
+        ((1e-3, 4e-4, 1e-4), True),
+        ((0.0, 1e-3, 0.0), False),
+        ((1e-3, 0.0, 1e-4), False),
+        ((1e-3, 1e-3, 1e-4), False),
+        ((1e-3, 8e-4, 6e-4), False),
+    ])
+    def test_verdict_counts_a_zero_gap_as_not_increasing(self, gaps, verdict):
+        rows = [(0.1 / 2 ** k, 0, gap, 0, 0) for k, gap in enumerate(gaps)]
+        assert equivalence_verdict(rows) is verdict
+
     def test_rejects_nonconstant_coefficient(self):
         coeff = CoefficientField.analytic(
             lambda pts: 0.5 + pts[:, 0],

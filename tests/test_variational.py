@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
+    ElementAssembly,
     dense_from_band,
     flux_inversion_solution,
     lowered_parabola_obstacle_solution,
@@ -180,6 +181,53 @@ class TestNewtonMatrix:
             fd[:, c] = (asm.residual_full(up, delta) - asm.residual_full(dn, delta))[free] / (2.0 * step)
         scale = float(np.max(np.abs(K), initial=0.0))
         assert np.all(np.abs(fd - K) <= 1e-5 * scale)
+
+
+@st.composite
+def assembly_cases(draw):
+    """A random field on a 1D, square or non-square 2D grid with extents
+    0.25-4 per axis and a shifted lower corner, p <= q in [1.5, 3], a
+    constant or analytic coefficient, delta in {1e-2, 1e-4}, eps in [0, 1]
+    and a random nodal active mask."""
+    nx = draw(st.integers(3, 9))
+    shape = draw(st.sampled_from([(nx,), (nx, nx), (nx, draw(st.integers(3, 9)))]))
+    dim = len(shape)
+    grid = Grid(shape, lower=[draw(st.floats(-2.0, 2.0)) for _ in shape],
+                extent=[draw(st.floats(0.25, 4.0)) for _ in shape])
+    values = draw(hnp.arrays(float, grid.n_nodes, elements=st.floats(-1.0, 1.0)))
+    p, q = sorted(draw(st.lists(st.floats(1.5, 3.0), min_size=2, max_size=2)))
+    a0 = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        coeff = CoefficientField.constant(a0)
+    else:
+        coeff = CoefficientField.analytic(
+            lambda pts: a0 + 0.25 * np.sin(pts[:, 0]) ** 2,
+            lambda pts: np.column_stack([0.25 * np.sin(2.0 * pts[:, 0])] + [np.zeros(len(pts))] * (dim - 1)),
+        )
+    delta = draw(st.sampled_from([1e-2, 1e-4]))
+    eps = draw(st.floats(0.0, 1.0))
+    active = draw(hnp.arrays(bool, grid.n_nodes))
+    return grid, values, DoublePhaseParams(p, q, coeff=coeff), delta, eps, active
+
+
+class TestSlicedAssembly:
+    @settings(max_examples=150)
+    @given(assembly_cases())
+    def test_matches_element_gather_oracle(self, case):
+        grid, values, params, delta, eps, active = case
+        spec = ProblemSpec(grid=grid, params=params, boundary=BoundaryData.constant(0.0),
+                           epsilon=eps)
+        asm = _Assembler(spec)
+        ref = ElementAssembly(grid, params.p, params.q,
+                              params.coeff.value(grid.element_centroids), eps)
+        e, scale = ref.energy(values, delta)
+        assert abs(asm.energy(values, delta) - e) <= 1e-13 * scale
+        r, scale = ref.residual_full(values, delta)
+        assert np.max(np.abs(asm.residual_full(values, delta) - r)) <= 1e-13 * scale
+        for mask in (None, active):
+            K = ref.jacobian(values, delta, mask)
+            band = dense_from_band(asm.jacobian(values, delta, mask), symmetric=True)
+            assert np.max(np.abs(band - K)) <= 1e-13 * np.max(np.abs(K))
 
 
 class TestSolveDirichlet:

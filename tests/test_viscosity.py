@@ -297,6 +297,33 @@ class TestSolver:
         assert rep.iterations == 0
         assert rep.residual_norm <= 1e-10
 
+    @pytest.mark.parametrize("p, q, a0", [(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)])
+    @pytest.mark.parametrize("shape", [(33,), (17, 17)])
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_constant_coefficient_skips_first_order_term_exactly(self, p, q, a0, shape, eps):
+        # a constant a has grad a = 0, so its first-order term and gradient
+        # are skipped; the same a given as an analytic field evaluates both
+        # (as zeros) and must give the same solve bit for bit
+        g = Grid(shape)
+        bd = BoundaryData.from_callable(
+            lambda pts: 0.5 * pts[:, 0] + 0.3 * pts[:, -1]
+            + 0.2 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, -1])
+        )
+        same_a = CoefficientField.analytic(
+            lambda pts: np.full(len(pts), a0), lambda pts: np.zeros((len(pts), len(shape)))
+        )
+        u, rep = solve_viscosity(ProblemSpec(grid=g, params=const_params(p, q, a0), boundary=bd,
+                                             epsilon=eps))
+        u_full, rep_full = solve_viscosity(
+            ProblemSpec(grid=g, params=DoublePhaseParams(p, q, coeff=same_a), boundary=bd, epsilon=eps),
+            allow_nonconstant=True,
+        )
+        np.testing.assert_array_equal(u.values, u_full.values)
+        assert rep.iterations == rep_full.iterations
+        assert rep.residual_history == rep_full.residual_history
+        assert rep.delta_schedule == rep_full.delta_schedule
+        assert rep.residual_norm == rep_full.residual_norm
+
     def test_2d_harmonic_quadratic_exact_stencil(self):
         g = Grid((33, 33))
         harm = lambda pts: pts[:, 0] ** 2 - pts[:, 1] ** 2
@@ -374,8 +401,12 @@ class TestSolver:
             params=DoublePhaseParams(2.0, 2.5, coeff=lin_coeff()),
             boundary=BoundaryData.from_callable(lambda pts: pts[:, 0]),
         )
-        _u, rep = solve_viscosity(spec, allow_nonconstant=True)
+        u, rep = solve_viscosity(spec, allow_nonconstant=True)
         assert "experimental" in rep.notes
+        # the first-order term |Du|^(q-2) Du . grad a (about 0.25 here) is
+        # part of the scheme the solve satisfied
+        worst = max(abs(local_equation(u, spec.params, int(node))[0]) for node in g.interior_idx)
+        assert worst <= 1e-9
 
     def test_1d_source_matches_flux_inversion_oracle(self):
         from oracles import flux_inversion_solution
