@@ -163,12 +163,12 @@ class _ConfigReader:
             self.diags.append((self.line(section, key), key, f"not integers: {raw!r}"))
             return default
 
-    def count(self, section, key, default=None, required=False):
-        """Exactly one integer, at least 1."""
+    def count(self, section, key, default=None, required=False, least=1):
+        """Exactly one integer, at least ``least``."""
         values = self.integers(section, key, required=required)
-        if values is not None and (len(values) != 1 or values[0] < 1):
+        if values is not None and (len(values) != 1 or values[0] < least):
             raw = self.values[(section, key)][0]
-            self.diags.append((self.line(section, key), key, f"need one integer >= 1, got {raw!r}"))
+            self.diags.append((self.line(section, key), key, f"need one integer >= {least}, got {raw!r}"))
             return default
         return default if values is None else values[0]
 
@@ -338,7 +338,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
     seed = int(seed_override if seed_override is not None else seed_cfg)
 
     study_options = {
-        "refinements": reader.count("study", "refinements", default=3),
+        "refinements": reader.count("study", "refinements", default=3, least=2),
         "trials": reader.count("study", "trials", default=20),
         "cutoffs": reader.count("study", "cutoffs", default=20),
         "levels": reader.count("study", "levels", default=4),

@@ -225,6 +225,8 @@ def equivalence_study(spec, refinements, seed=0):
     Pass verdict: strictly decreasing distance, finest at most half the
     coarsest.
     """
+    if refinements < 2:
+        raise ValueError("refinements must be >= 2")
     if not spec.params.coeff.is_constant:
         raise ValidationError(
             "the equivalence study requires a constant coefficient a(x) "

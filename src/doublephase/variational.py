@@ -1,4 +1,4 @@
-"""Energy-minimization side: damped Newton with delta-continuation.
+"""Energy-minimization side: damped Newton at one regularisation level.
 
 The discrete problem minimizes
 
@@ -6,8 +6,10 @@ The discrete problem minimizes
 
 over P1 fields with Dirichlet data, where m(Du) = sqrt(|Du|^2 + delta^2)
 smooths the degenerate/singular modulus inside Newton only; reported
-energies use delta = 0. The obstacle variant is the same Newton loop as
-a projected Newton method and exposes the complementarity structure.
+energies use delta = 0. Newton runs at delta = 1e-8; only a loop that
+fails there restarts and walks delta = 1e-2, 1e-4, 1e-6 down to it. The
+obstacle variant is the same Newton loop as a projected Newton method
+and exposes the complementarity structure.
 """
 
 import math
@@ -33,10 +35,14 @@ __all__ = [
     "contact_tolerance",
 ]
 
-DELTA_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8)
+DELTA_SCHEDULE = (1e-8,)  # the regularisation delta every solve ends at
+# the levels a solve walks down to DELTA_SCHEDULE, from the warm start,
+# after the loop at DELTA_SCHEDULE fails: damped Newton at 1e-8 can crawl
+# to its cap where the gradient vanishes inside the domain and p < 2
+RESTART_DELTAS = (1e-2, 1e-4, 1e-6)
 NEWTON_TOL = 1e-12
-STAGE_CAP = 200
-ACCEPT_TOL = 1e-9  # contract bound: a stalled stage may stop here
+NEWTON_CAP = 200
+ACCEPT_TOL = 1e-9  # contract bound: a stalled loop may stop here
 CONTRACT_TOL = 1e-8
 
 
@@ -82,7 +88,7 @@ class SolveReport:
     energy: float
     delta_schedule: tuple
     residual_history: tuple = ()
-    energy_history: tuple = ()  # per accepted Newton step, grouped by stage
+    energy_history: tuple = ()  # per kept Newton step at the final delta
     active_set_size: int = 0  # obstacle: interior nodes with u <= psi at the end
     method: str = "variational"
     notes: str = ""
@@ -252,79 +258,107 @@ def _strict_gate(spec):
             raise ValidationError(f"strict exponent validation failed: {check.message}")
 
 
-def _newton_stages(asm, u, deltas, tol, history, psi=None, energies=None):
-    """Damped Newton over the interior nodes, one pass per delta stage.
+def _free_residual(asm, u, delta, psi):
+    """Residual r at ``u``, the contact set (interior nodes with u <= psi
+    and r > 0), the free nodes' positions in ``interior_idx``, max free |r|."""
+    r = asm.residual_full(u, delta)
+    interior = asm.grid.interior_idx
+    active = None if psi is None else (u <= psi) & (r > 0.0)
+    keep = slice(None) if psi is None else np.flatnonzero(~active[interior])
+    return r, active, keep, float(np.max(np.abs(r[interior[keep]]), initial=0.0))
+
+
+def _newton_step(asm, u, r, delta, active, keep):
+    """The Newton step on the free interior nodes ``interior[keep]``."""
+    rhs = np.zeros(len(asm.grid.interior_idx))
+    rhs[keep] = -r[asm.grid.interior_idx[keep]]  # zero on the active nodes
+    return asm.pattern.solve(asm.jacobian(u, delta, active), rhs, u)[keep]
+
+
+def _newton(asm, u, delta, tol, history, psi=None, energies=None):
+    """Damped Newton on the energy at regularisation ``delta``.
 
     With an obstacle it is a projected Newton method: each step holds the
-    contact set (interior nodes with u <= psi and a positive residual)
-    fixed as identity rows, and every Armijo trial is projected onto
-    u >= psi, so nodes join and leave the contact set at every step.
-    Returns (u, iterations). ``energies`` collects per-stage lists of
-    accepted-step energies (the Armijo contract makes each stage's list
-    nonincreasing).
+    contact set fixed as identity rows and projects every Armijo trial
+    onto u >= psi, so nodes join and leave the contact set at every step.
+    It stops at a max free residual <= ``tol`` (<= ``ACCEPT_TOL`` if the
+    line search stalls or ``NEWTON_CAP`` steps are taken). If it took a
+    step, one more full step follows, kept only if it lowers that residual:
+    the last Armijo step often stops one quadratic step short of rounding
+    level. Appends the residual of every kept iterate to ``history`` and
+    the energy after every kept step to ``energies``; returns (u, steps,
+    failure), ``failure`` None or why the loop stopped short.
     """
-    grid = asm.grid
-    interior = grid.interior_idx
-    total_iters = 0
-    for delta in deltas:
-        stage_energies = [] if energies is not None else None
-        for _ in range(STAGE_CAP):
-            r_full = asm.residual_full(u, delta)
-            keep, active = slice(None), None
-            if psi is not None:
-                active = (u <= psi) & (r_full > 0.0)
-                keep = np.flatnonzero(~active[interior])
-            free = interior[keep]
-            if len(free) == 0:
-                break
-            rn = float(np.max(np.abs(r_full[free])))
-            history.append(rn)
-            if rn <= tol:
-                break
-            rhs = np.zeros(len(interior))
-            rhs[keep] = -r_full[free]  # zero on the active nodes
-            d = asm.pattern.solve(asm.jacobian(u, delta, active), rhs, u)[keep]
-            slope = float(np.dot(r_full[free], d))
+    interior = asm.grid.interior_idx
+    lo = np.full_like(u, -np.inf) if psi is None else psi
+    r, active, keep, rn = _free_residual(asm, u, delta, psi)
+    history.append(rn)
+    steps, e0, failure = 0, None, None  # e0: the energy at u, once known
+    while rn > tol:
+        if steps == NEWTON_CAP:
+            failure = f"Newton cap reached at residual {rn:.3e}"
+            break
+        d = _newton_step(asm, u, r, delta, active, keep)
+        free = interior[keep]
+        slope = float(np.dot(r[free], d))
+        if e0 is None:
             e0 = asm.energy(u, delta)
-            lo = -np.inf if psi is None else psi[free]
-            # Armijo backtracking along the projected path; skip the test
-            # where rounding noise wins
-            tau = 1.0
-            e1 = None  # energy of the accepted step, once the Armijo test ran
-            trial = u.copy()
-            trial[free] = np.maximum(u[free] + d, lo)
-            if abs(slope) > 1e-13 * (1.0 + abs(e0)):
-                for _bt in range(60):
-                    e1 = asm.energy(trial, delta)
-                    if e1 <= e0 + 1e-4 * tau * slope:
-                        break
-                    tau *= 0.5
-                    trial[free] = np.maximum(u[free] + tau * d, lo)
-                else:
-                    # stalled line search: residual already small means done
-                    if rn <= ACCEPT_TOL:
-                        break
-                    raise NonConvergence(
-                        f"line search stalled at residual {rn:.3e} (delta={delta:g})",
-                        field=NodalField(grid, u.copy()),
-                    )
-            u = trial
-            total_iters += 1
-            if stage_energies is not None:
-                stage_energies.append(asm.energy(u, delta) if e1 is None else e1)
-        else:
-            rn_last = history[-1] if history else np.inf
-            if rn_last > ACCEPT_TOL:
-                raise NonConvergence(
-                    f"Newton cap reached at residual {rn_last:.3e} (delta={delta:g})",
-                    field=NodalField(grid, u.copy()),
-                )
+        # Armijo backtracking along the projected path; skip the test
+        # where rounding noise wins
+        tau, e1, trial = 1.0, None, u.copy()
+        trial[free] = np.maximum(u[free] + d, lo[free])
+        if abs(slope) > 1e-13 * (1.0 + abs(e0)):
+            for _bt in range(60):
+                e1 = asm.energy(trial, delta)
+                if e1 <= e0 + 1e-4 * tau * slope:
+                    break
+                tau *= 0.5
+                trial[free] = np.maximum(u[free] + tau * d, lo[free])
+            else:
+                failure = f"line search stalled at residual {rn:.3e}"
+                break
+        u, e0, steps = trial, e1, steps + 1
         if energies is not None:
-            energies.append(tuple(stage_energies))
-    return u, total_iters
+            e0 = asm.energy(u, delta) if e0 is None else e0
+            energies.append(e0)
+        r, active, keep, rn = _free_residual(asm, u, delta, psi)
+        history.append(rn)
+    if failure is not None and rn > ACCEPT_TOL:
+        return u, steps, f"{failure} (delta={delta:g})"
+    if steps and rn > 0.0:
+        free, trial = interior[keep], u.copy()
+        trial[free] = np.maximum(u[free] + _newton_step(asm, u, r, delta, active, keep), lo[free])
+        rn_trial = _free_residual(asm, trial, delta, psi)[3]
+        if rn_trial < rn:
+            u, steps = trial, steps + 1
+            history.append(rn_trial)
+            if energies is not None:
+                energies.append(asm.energy(u, delta))
+    return u, steps, None
 
 
-def solve_dirichlet(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
+def _minimize(asm, start, tol, psi=None, energies=None):
+    """Newton from ``start`` at the delta of ``DELTA_SCHEDULE``; if that
+    fails, restart from ``start`` and walk ``RESTART_DELTAS`` down to it,
+    as the viscosity route walks its gradient floors. Returns (u, steps,
+    deltas visited, residual history); ``energies`` keeps the last delta's."""
+    history = []
+    deltas = list(DELTA_SCHEDULE)
+    u, steps, failure = _newton(asm, start, DELTA_SCHEDULE[-1], tol, history, psi, energies)
+    if failure is not None:
+        u = start
+        for delta in RESTART_DELTAS + DELTA_SCHEDULE:
+            deltas.append(delta)
+            if energies is not None:
+                energies.clear()
+            u, more, failure = _newton(asm, u, delta, tol, history, psi, energies)
+            steps += more
+            if failure is not None:
+                raise NonConvergence(failure, field=NodalField(asm.grid, u.copy()))
+    return u, steps, tuple(deltas), tuple(history)
+
+
+def solve_dirichlet(spec, newton_tol=NEWTON_TOL):
     """Solve the unconstrained Dirichlet problem; returns (field, report)."""
     if spec.obstacle is not None:
         raise ValidationError("solve_dirichlet expects a spec without an obstacle")
@@ -334,18 +368,17 @@ def solve_dirichlet(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
     asm = _Assembler(spec)
     grid = spec.grid
     u = poisson_start(grid, spec.boundary.values_on(grid), spec.epsilon)
-    history = []
     energies = []
-    u, iters = _newton_stages(asm, u, deltas, newton_tol, history, energies=energies)
-    rn = float(np.max(np.abs(asm.residual_full(u, deltas[-1])[grid.interior_idx])))
+    u, iters, deltas, history = _minimize(asm, u, newton_tol, energies=energies)
+    rn = history[-1]  # max |residual| at u and the final delta
     field = NodalField(grid, u)
     report = SolveReport(
         converged=rn <= max(newton_tol, ACCEPT_TOL),
         iterations=iters,
         residual_norm=rn,
         energy=asm.energy(u, 0.0),
-        delta_schedule=tuple(deltas),
-        residual_history=tuple(history),
+        delta_schedule=deltas,
+        residual_history=history,
         energy_history=tuple(energies),
     )
     return field, report
@@ -356,7 +389,7 @@ def contact_tolerance(psi_values):
     return 1e-7 * (1.0 + float(np.max(np.abs(psi_values))))
 
 
-def solve_obstacle(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
+def solve_obstacle(spec, newton_tol=NEWTON_TOL):
     """Obstacle-constrained solve by projected Newton; (field, report).
 
     Dirichlet data come from ``spec.boundary`` when present, else from
@@ -377,8 +410,7 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
     u = poisson_start(grid, g_values, spec.epsilon)
     interior = grid.interior_idx
     u[interior] = np.maximum(u[interior], psi[interior])
-    history = []
-    u, iters = _newton_stages(asm, u, deltas, newton_tol, history, psi=psi)
+    u, iters, deltas, history = _minimize(asm, u, newton_tol, psi=psi)
     r = asm.residual_full(u, deltas[-1])[interior]
     contact = u[interior] <= psi[interior]
     if np.any(contact) and float(np.min(r[contact])) < -CONTRACT_TOL:
@@ -394,8 +426,8 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL, deltas=DELTA_SCHEDULE):
         iterations=iters,
         residual_norm=rn,
         energy=asm.energy(u, 0.0),
-        delta_schedule=tuple(deltas),
-        residual_history=tuple(history),
+        delta_schedule=deltas,
+        residual_history=history,
         active_set_size=int(np.sum(contact)),
     )
     return field, report

@@ -233,13 +233,14 @@ class TestMain:
     @pytest.mark.parametrize("key, value", [
         ("dimension", ""), ("dimension", "2 2"),
         ("refinements", ""), ("trials", ""), ("cutoffs", ""), ("levels", ""),
-        ("refinements", "0"), ("trials", "0"), ("cutoffs", "0"),
+        ("refinements", "0"), ("refinements", "1"), ("trials", "0"), ("cutoffs", "0"),
         ("levels", "0"), ("levels", "-1"), ("levels", "2 3"),
         ("epsilons", ""),
     ])
     def test_bad_count_or_list_exit_2_naming_the_key(self, tmp_path, capsys, command, key, value):
-        # every count is one integer (refinements, trials, cutoffs and levels
-        # at least 1) and epsilons is not empty; else a diagnostic, not a crash
+        # every count is one integer (refinements at least 2, trials, cutoffs
+        # and levels at least 1) and epsilons is not empty; else a
+        # diagnostic, not a crash
         fields = {"dimension": "2", "study": ""}
         if key == "dimension":
             fields["dimension"] = value

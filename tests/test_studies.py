@@ -108,6 +108,12 @@ class TestEquivalence:
         with pytest.raises(ValidationError, match="constant coefficient"):
             equivalence_study(spec, 2)
 
+    @pytest.mark.parametrize("refinements", [0, 1])
+    def test_rejects_fewer_than_two_refinements(self, refinements):
+        # one level has no finest gap to compare with the coarsest
+        with pytest.raises(ValueError, match="refinements"):
+            equivalence_study(base_spec(n=9), refinements)
+
 
 class TestComparison:
     def test_small_run_passes(self):

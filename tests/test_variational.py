@@ -16,7 +16,9 @@ from doublephase.errors import InfeasibleObstacle, ValidationError
 from doublephase.grids import BoundaryData, Grid, NodalField, interpolate
 from doublephase.operators import CoefficientField, DoublePhaseParams
 from doublephase.orlicz import gradient_modular
+from doublephase.studies import trig_series
 from doublephase.variational import (
+    DELTA_SCHEDULE,
     ProblemSpec,
     _Assembler,
     _quadratic_lower_envelope,
@@ -230,6 +232,37 @@ class TestSlicedAssembly:
             assert np.max(np.abs(band - K)) <= 1e-13 * np.max(np.abs(K))
 
 
+@st.composite
+def dirichlet_cases(draw):
+    """(p, q, a) with p in [1.4, 3] (so p < 2 occurs), q in [p, p + 1.5]
+    and a in [0, 1]; eps in [0, 1]; a seeded trig-series boundary datum of
+    the comparison study on a 1D grid of 33 nodes or a 9^2 grid."""
+    grid = Grid(draw(st.sampled_from([(33,), (9, 9)])))
+    p = draw(st.floats(1.4, 3.0))
+    q = draw(st.floats(p, p + 1.5))
+    return ProblemSpec(
+        grid=grid, params=const_params(p, q, a0=draw(st.floats(0.0, 1.0))),
+        epsilon=draw(st.floats(0.0, 1.0)),
+        boundary=BoundaryData.from_callable(trig_series(draw(st.integers(0, 2 ** 32 - 1)), grid.dim)),
+    )
+
+
+class TestNewtonLoop:
+    @settings(max_examples=60)
+    @given(dirichlet_cases())
+    def test_one_loop_invariants(self, spec):
+        u, rep = solve_dirichlet(spec)
+        assert rep.converged
+        energies = rep.energy_history
+        for e1, e2 in zip(energies, energies[1:]):
+            assert e2 <= e1 + 1e-10 * (1.0 + abs(e1))
+        assert rep.residual_history[-1] == rep.residual_norm
+        # the step after the stop is kept only if it lowers the residual
+        assert rep.residual_norm <= min(rep.residual_history[-2:])
+        # a true residual of the discrete equation at the solve's delta
+        assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
+
+
 class TestSolveDirichlet:
     def test_1d_linear_exact(self):
         g = Grid((129,))
@@ -302,7 +335,7 @@ class TestSolveDirichlet:
         assert min(order) >= 1.8
 
     def test_energy_decreases_across_accepted_newton_steps(self):
-        # Armijo contract, checked within each continuation stage
+        # Armijo contract, checked over the one Newton loop
         g = Grid((17, 17))
         spec = ProblemSpec(
             grid=g, params=const_params(1.5, 2.6, a0=0.9),
@@ -311,10 +344,59 @@ class TestSolveDirichlet:
             ),
         )
         _u, rep = solve_dirichlet(spec)
-        assert any(len(stage) > 1 for stage in rep.energy_history)
-        for stage in rep.energy_history:
-            for e1, e2 in zip(stage, stage[1:]):
-                assert e2 <= e1 + 1e-10 * (1.0 + abs(e1))
+        assert len(rep.energy_history) > 1
+        for e1, e2 in zip(rep.energy_history, rep.energy_history[1:]):
+            assert e2 <= e1 + 1e-10 * (1.0 + abs(e1))
+
+    def test_crawling_loop_restarts_down_the_delta_levels(self):
+        # a source with equal end values at p < 2: the gradient vanishes at
+        # the middle node, and damped Newton at delta = 1e-8 from the warm
+        # start crawls to its cap; the restart from delta = 1e-2 converges
+        g = Grid((129,))
+        spec = ProblemSpec(grid=g, params=const_params(1.5, 3.0, a0=0.5), epsilon=0.5,
+                           boundary=BoundaryData.constant(0.5))
+        u, rep = solve_dirichlet(spec)
+        assert rep.converged
+        assert rep.delta_schedule == DELTA_SCHEDULE + (1e-2, 1e-4, 1e-6) + DELTA_SCHEDULE
+        assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
+        # the energies of the last level only, so they still decrease
+        energies = rep.energy_history
+        assert 0 < len(energies) < rep.iterations
+        for e1, e2 in zip(energies, energies[1:]):
+            assert e2 <= e1 + 1e-10 * (1.0 + abs(e1))
+        exact = flux_inversion_solution(1.5, 3.0, 0.5, 0.5, 0.5, 0.5, g.coords[:, 0])
+        assert np.max(np.abs(u.values - exact)) <= 1e-5
+
+    @pytest.mark.parametrize("p,q,a0", [(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)])
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_stops_at_rounding_level(self, p, q, a0, eps):
+        # the loop stops once the residual is <= 1e-12; one more full
+        # Newton step takes it to rounding level
+        spec = ProblemSpec(grid=Grid((17, 17)), params=const_params(p, q, a0=a0),
+                           boundary=smooth_bd(), epsilon=eps)
+        _u, rep = solve_dirichlet(spec)
+        assert rep.residual_norm <= 1e-14
+
+    def test_energy_at_the_iterate_is_not_recomputed(self, monkeypatch):
+        # the Armijo test of one step already has the energy at the next
+        # iterate; the next step must reuse it, not evaluate it again
+        calls = []
+        inner = _Assembler.energy
+
+        def recording(self, values, delta):
+            calls.append((values.copy(), delta))
+            return inner(self, values, delta)
+
+        monkeypatch.setattr(_Assembler, "energy", recording)
+        spec = ProblemSpec(grid=Grid((33, 33)), params=const_params(2.5, 3.0, a0=1.0),
+                           boundary=smooth_bd(), epsilon=1.0)
+        _u, rep = solve_dirichlet(spec)
+        assert rep.converged and rep.iterations > 1
+        repeats = [
+            k for k in range(1, len(calls))
+            if calls[k][1] == calls[k - 1][1] and np.array_equal(calls[k][0], calls[k - 1][0])
+        ]
+        assert repeats == []
 
     def test_grid_mismatch_detected(self):
         g = Grid((9, 9))
