@@ -3,16 +3,20 @@
 Nodes are ordered row-major with x fastest: node (ix, iy) has flat index
 ``iy * nx + ix``. Every 2D cell is split into two triangles along the
 lower-left to upper-right diagonal, so assembly is deterministic and
-orientation-consistent. Elements carry precomputed measures, centroids
-and P1 gradient coefficients; :data:`ELEMENT_TYPES` describes the one
-segment (1D) or the two triangles (2D) of a cell once, with constant P1
-gradients, so that assembly can run on slices of the nodal values.
+orientation-consistent. The element tables (vertices, measures,
+centroids and P1 gradient coefficients) are built on first use;
+:data:`ELEMENT_TYPES` describes the one segment (1D) or the two triangles
+(2D) of a cell once, with constant P1 gradients, so that assembly can run
+on slices of the nodal values.
 :class:`InteriorPattern` holds LAPACK band storage over the interior
 nodes, which is banded in this order, with one band row per node offset
-of a stencil: both solvers assemble into it and solve through it.
-:func:`poisson_start` is the warm start of both: at p = q = 2 both reduce
-to the discrete Poisson problem.
+of a stencil: both solvers assemble their Newton matrices into it, factor
+them in place and solve with the factor. :func:`poisson_start` is the warm
+start of both: at p = q = 2 both reduce to the discrete Poisson problem,
+which it solves by sine transforms, with no band.
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -74,14 +78,17 @@ class Grid:
         self.upper = lower + extent
         self.spacing = extent / (np.array(shape, dtype=float) - 1.0)
         self.n_nodes = int(np.prod(shape))
+        self.element_types = ELEMENT_TYPES[dim]
         self._build_nodes()
-        self._build_elements()
 
     def _build_nodes(self):
         axes = [
             np.linspace(self.lower[d], self.upper[d], self.shape[d])
             for d in range(self.dim)
         ]
+        # every element's measure is a product of one node step per axis
+        if not np.prod([np.min(np.diff(a)) for a in axes]) > 0.0:
+            raise ValueError("degenerate element")
         if self.dim == 1:
             self.coords = axes[0][:, None]
             boundary = np.zeros(self.n_nodes, dtype=bool)
@@ -97,41 +104,50 @@ class Grid:
         self.boundary_idx = np.flatnonzero(boundary)
         self.interior_idx = np.flatnonzero(~boundary)
 
-    def _build_elements(self):
-        self.element_types = ELEMENT_TYPES[self.dim]
+    @cached_property
+    def elements(self):
+        """Vertex node indices, (n_elements, dim + 1)."""
         strides = np.cumprod((1,) + self.shape[:-1])
         # first node of every cell (all but the last node along each axis)
         first = np.arange(self.n_nodes).reshape(self.shape[::-1])[(slice(0, -1),) * self.dim].ravel()
-        self.elements = np.vstack([
+        return np.vstack([
             np.column_stack([first + np.dot(offset, strides) for offset in verts])
             for verts, _edges in self.element_types
         ])
-        verts = self.coords[self.elements]  # (m, dim+1, dim)
-        self.element_centroids = verts.mean(axis=1)
+
+    @cached_property
+    def element_centroids(self):
+        return self.coords[self.elements].mean(axis=1)
+
+    @cached_property
+    def element_measures(self):
+        return np.abs(self._signed_measures()) / self.dim
+
+    @cached_property
+    def grad_coeffs(self):
+        """P1 gradient of each vertex' hat function, (n_elements, dim + 1, dim)."""
+        verts = self.coords[self.elements]
         if self.dim == 1:
-            length = verts[:, 1, 0] - verts[:, 0, 0]
-            self.element_measures = length
-            g = np.empty((len(length), 2, 1))
-            g[:, 0, 0] = -1.0 / length
-            g[:, 1, 0] = 1.0 / length
-            self.grad_coeffs = g
+            g = np.empty((len(verts), 2, 1))
+            g[:, 0, 0] = -1.0
+            g[:, 1, 0] = 1.0
         else:
-            e1 = verts[:, 1, :] - verts[:, 0, :]
-            e2 = verts[:, 2, :] - verts[:, 0, :]
-            twice_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            self.element_measures = 0.5 * np.abs(twice_area)
             # grad phi_i = perp(opposite edge) / (2 * signed area)
-            g = np.empty((verts.shape[0], 3, 2))
+            g = np.empty((len(verts), 3, 2))
             for i in range(3):
-                a = verts[:, (i + 1) % 3, :]
-                b = verts[:, (i + 2) % 3, :]
-                edge = b - a
+                edge = verts[:, (i + 2) % 3, :] - verts[:, (i + 1) % 3, :]
                 g[:, i, 0] = -edge[:, 1]
                 g[:, i, 1] = edge[:, 0]
-            g /= twice_area[:, None, None]
-            self.grad_coeffs = g
-        if np.any(self.element_measures <= 0.0):
-            raise ValueError("degenerate element")
+        return g / self._signed_measures()[:, None, None]
+
+    def _signed_measures(self):
+        """Per element: the length in 1D, twice the signed area in 2D."""
+        verts = self.coords[self.elements]
+        e1 = verts[:, 1, :] - verts[:, 0, :]
+        if self.dim == 1:
+            return e1[:, 0]
+        e2 = verts[:, 2, :] - verts[:, 0, :]
+        return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
 
     def interior_depth_mask(self, depth):
         """Nodes at least ``depth`` layers away from the boundary."""
@@ -186,12 +202,13 @@ class InteriorPattern:
     (nx - 2) interior positions from the diagonal, so a 3-/9-point stencil
     or the P1 graph gives half-bandwidth ``bw`` = nx - 1 (1 in 1D). A
     ``symmetric`` pattern takes offsets of the lower triangle (such as C,
-    W, S, SW) and keeps the (bw + 1)-row layout of pbsv (Cholesky; at 129² the
-    lower form factors about 1.5 times as fast as the upper one); a general
-    one uses the (3 bw + 1)-row layout of gbsv (LU with partial pivoting),
-    whose top bw rows are pivot room. Each offset owns one band row, so
-    :meth:`fill` is one strided copy per offset, and LAPACK factors the
-    band in place without a copy.
+    W, S, SW) and keeps the (bw + 1)-row layout of pbtrf (Cholesky; at 129²
+    the lower form factors about 1.5 times as fast as the upper one); a
+    general one uses the (3 bw + 1)-row layout of gbtrf (LU with partial
+    pivoting), whose top bw rows are pivot room. Each offset owns one band
+    row, so :meth:`fill` is one strided copy per offset; :meth:`factor`
+    factors the band in place without a copy, and :meth:`solve` solves with
+    that factor, as often as there are right-hand sides.
     """
 
     def __init__(self, grid, offsets, symmetric):
@@ -236,34 +253,69 @@ class InteriorPattern:
     def diagonal(self, band):
         return band[self.diag_row]
 
-    def solve(self, band, rhs, state):
-        """Solution of band x = rhs; overwrites ``band`` with its factor.
+    def factor(self, band, state):
+        """Factor of the matrix in ``band``, computed in place: banded
+        Cholesky (symmetric) or banded LU with partial pivoting (general),
+        for :meth:`solve`.
 
         Raises :class:`LinearSolveFailure` carrying ``state`` (the nodal
         values of the caller's current iterate) when the matrix is not
-        positive definite (symmetric), has a singular U (general), or the
-        solution is not finite.
+        positive definite (symmetric) or has a singular U (general).
         """
         if self.symmetric:
-            _c, x, info = lapack.dpbsv(band, rhs, lower=1, overwrite_ab=1)
+            band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+            pivots = None
         else:
-            _lu, _piv, x, info = lapack.dgbsv(self.bw, self.bw, band, rhs, overwrite_ab=1)
-        if info != 0 or not np.all(np.isfinite(x)):
+            band, pivots, info = lapack.dgbtrf(band, self.bw, self.bw, overwrite_ab=1)
+        if info != 0:
             kind = "not positive definite" if self.symmetric else "singular"
-            reason = f"matrix {kind} (info={info})" if info != 0 else "non-finite solution"
-            raise LinearSolveFailure(
-                f"banded solve failed: {reason}", field=NodalField(self.grid, state.copy())
-            )
+            raise self._failure(f"matrix {kind} (info={info})", state)
+        return band, pivots
+
+    def solve(self, factor, rhs, state):
+        """Solution of A x = rhs, for the ``factor`` of A from :meth:`factor`.
+
+        Raises :class:`LinearSolveFailure` carrying ``state`` when the
+        solution is not finite.
+        """
+        band, pivots = factor
+        if self.symmetric:
+            x, _info = lapack.dpbtrs(band, rhs, lower=1)
+        else:
+            x, _info = lapack.dgbtrs(band, self.bw, self.bw, rhs, pivots)
+        if not np.all(np.isfinite(x)):
+            raise self._failure("non-finite solution", state)
         return x
+
+    def _failure(self, reason, state):
+        return LinearSolveFailure(f"banded solve failed: {reason}", field=NodalField(self.grid, state.copy()))
+
+
+def _dst(x, axis):
+    """DST-I along ``axis``: X_k = sum_j x_j sin(pi j k / (m + 1)) for
+    j, k = 1..m, read off the real FFT of the odd extension (0, x, 0, -x
+    reversed); applied twice it is (m + 1) / 2 times the identity."""
+    x = np.moveaxis(x, axis, -1)
+    m = x.shape[-1]
+    odd = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    odd[..., 1:m + 1] = x
+    odd[..., m + 2:] = -x[..., ::-1]
+    return np.moveaxis(np.fft.rfft(odd).imag[..., 1:m + 1], -1, axis) * -0.5
 
 
 def poisson_start(grid, g_values, f):
     """Warm start of both solvers: nodal values equal to ``g_values`` (at
     ``grid.boundary_idx``) that solve -Lap_h u = f (a scalar or one value per
-    interior node) with the 3-/5-point Laplacian, by banded Cholesky. The P1
-    stiffness matrix on these right triangles is prod(h) times Lap_h and the
-    lumped load of eps is prod(h) eps, so f = eps gives the P1 minimizer of
-    the Dirichlet energy; the scheme at p = q = 2 is -(1 + a) Lap_h u = eps."""
+    interior node) with the 3-/5-point Laplacian. The P1 stiffness matrix on
+    these right triangles is prod(h) times Lap_h and the lumped load of eps
+    is prod(h) eps, so f = eps gives the P1 minimizer of the Dirichlet
+    energy; the scheme at p = q = 2 is -(1 + a) Lap_h u = eps.
+
+    -Lap_h with Dirichlet data is diagonal in the sine basis: the interior
+    values are a DST-I along each axis, a division by the eigenvalues
+    sum_i 4 h_i^-2 sin^2(pi k_i / (2 (m_i + 1))), and the DST-I back.
+    Raises :class:`LinearSolveFailure`, carrying the boundary data with
+    zero interior values, when the solution is not finite."""
     interior = grid.interior_idx
     u = np.zeros(grid.n_nodes)
     u[grid.boundary_idx] = g_values
@@ -271,10 +323,19 @@ def poisson_start(grid, g_values, f):
     inv_h2 = grid.spacing ** -2.0
     # u is 0 at the interior nodes, so the neighbor sums are the boundary terms
     rhs = f + sum(w * (u[interior - s] + u[interior + s]) for s, w in zip(strides, inv_h2))
-    # the centre, then the backward neighbour along each axis: C, W[, S]
-    pattern = InteriorPattern(grid, np.vstack([np.zeros(grid.dim), -np.eye(grid.dim)]), symmetric=True)
-    band = pattern.fill(np.r_[2.0 * inv_h2.sum(), -inv_h2])
-    u[interior] = pattern.solve(band, rhs, u)
+    inner = tuple(s - 2 for s in grid.shape[::-1])  # interior array, (my, mx) in 2D
+    x = rhs.reshape(inner)
+    eig = 0.0
+    for axis, (m, w) in enumerate(zip(inner, inv_h2[::-1])):
+        x = _dst(x, axis)
+        lam = 4.0 * w * np.sin(np.pi * np.arange(1, m + 1) / (2.0 * (m + 1))) ** 2
+        eig = eig + lam.reshape((-1,) + (1,) * (len(inner) - 1 - axis))
+    x = x / eig
+    for axis, m in enumerate(inner):
+        x = _dst(x, axis) * (2.0 / (m + 1))
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveFailure("Poisson warm start failed: non-finite solution", field=NodalField(grid, u))
+    u[interior] = x.reshape(-1)
     return u
 
 

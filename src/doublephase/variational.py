@@ -268,11 +268,12 @@ def _free_residual(asm, u, delta, psi):
     return r, active, keep, float(np.max(np.abs(r[interior[keep]]), initial=0.0))
 
 
-def _newton_step(asm, u, r, delta, active, keep):
-    """The Newton step on the free interior nodes ``interior[keep]``."""
+def _newton_step(asm, lu, u, r, keep):
+    """The step on the free interior nodes ``interior[keep]`` with the
+    factored Newton matrix ``lu``."""
     rhs = np.zeros(len(asm.grid.interior_idx))
     rhs[keep] = -r[asm.grid.interior_idx[keep]]  # zero on the active nodes
-    return asm.pattern.solve(asm.jacobian(u, delta, active), rhs, u)[keep]
+    return asm.pattern.solve(lu, rhs, u)[keep]
 
 
 def _newton(asm, u, delta, tol, history, psi=None, energies=None):
@@ -285,9 +286,13 @@ def _newton(asm, u, delta, tol, history, psi=None, energies=None):
     line search stalls or ``NEWTON_CAP`` steps are taken). If it took a
     step, one more full step follows, kept only if it lowers that residual:
     the last Armijo step often stops one quadratic step short of rounding
-    level. Appends the residual of every kept iterate to ``history`` and
-    the energy after every kept step to ``energies``; returns (u, steps,
-    failure), ``failure`` None or why the loop stopped short.
+    level. That closing step is a chord (simplified Newton) step: it
+    solves with the factor of the last Newton matrix the loop built, at an
+    earlier iterate and contact set, which this close to the solution
+    serves as well as a new one. Appends the residual of every kept
+    iterate to ``history`` and the energy after every kept step to
+    ``energies``; returns (u, steps, failure), ``failure`` None or why the
+    loop stopped short.
     """
     interior = asm.grid.interior_idx
     lo = np.full_like(u, -np.inf) if psi is None else psi
@@ -298,7 +303,9 @@ def _newton(asm, u, delta, tol, history, psi=None, energies=None):
         if steps == NEWTON_CAP:
             failure = f"Newton cap reached at residual {rn:.3e}"
             break
-        d = _newton_step(asm, u, r, delta, active, keep)
+        lu = None  # drop the last factor first: one band is alive at a time
+        lu = asm.pattern.factor(asm.jacobian(u, delta, active), u)
+        d = _newton_step(asm, lu, u, r, keep)
         free = interior[keep]
         slope = float(np.dot(r[free], d))
         if e0 is None:
@@ -327,7 +334,7 @@ def _newton(asm, u, delta, tol, history, psi=None, energies=None):
         return u, steps, f"{failure} (delta={delta:g})"
     if steps and rn > 0.0:
         free, trial = interior[keep], u.copy()
-        trial[free] = np.maximum(u[free] + _newton_step(asm, u, r, delta, active, keep), lo[free])
+        trial[free] = np.maximum(u[free] + _newton_step(asm, lu, u, r, keep), lo[free])
         rn_trial = _free_residual(asm, trial, delta, psi)[3]
         if rn_trial < rn:
             u, steps = trial, steps + 1

@@ -341,7 +341,7 @@ def _newton(stencil, u, law, dv, eps, tol, max_iter, history):
             return u, residual, "converged"
         if len(history) >= max_iter:
             return u, residual, "capped"
-        d = stencil.pattern.solve(stencil.jacobian(loc, *law), -r, u)
+        d = stencil.pattern.solve(stencil.pattern.factor(stencil.jacobian(loc, *law), u), -r, u)
         phi = float(r @ r)
         trial = u.copy()
         t = 1.0

@@ -267,12 +267,15 @@ class TestInteriorPattern:
         dense[active, active] = 1.0
         np.testing.assert_array_equal(dense_from_band(band, symmetric), dense)
 
-        rhs = np.where(active, 0.0, np.linspace(-1.0, 2.0, n))
-        x = pattern.solve(band, rhs, np.zeros(grid.n_nodes))
+        # one factor serves several right-hand sides
+        lu = pattern.factor(band, np.zeros(grid.n_nodes))
         free = ~active
-        expected = np.linalg.solve(dense[np.ix_(free, free)], rhs[free])
-        np.testing.assert_allclose(x[free], expected, rtol=1e-12, atol=1e-12)
-        assert np.all(x[active] == 0.0)
+        for rhs in (np.linspace(-1.0, 2.0, n), np.cos(np.arange(n))):
+            rhs = np.where(active, 0.0, rhs)
+            x = pattern.solve(lu, rhs, np.zeros(grid.n_nodes))
+            expected = np.linalg.solve(dense[np.ix_(free, free)], rhs[free])
+            np.testing.assert_allclose(x[free], expected, rtol=1e-12, atol=1e-12)
+            assert np.all(x[active] == 0.0)
 
     def test_symmetric_pattern_takes_lower_offsets_only(self):
         with pytest.raises(ValueError, match="lower triangle"):
@@ -284,12 +287,17 @@ class TestInteriorPattern:
         (False, 1e-310, "non-finite"),
     ])
     def test_failed_solve_carries_the_iterate(self, symmetric, diagonal, reason):
+        # the factor rejects an indefinite or singular matrix; the solve
+        # rejects a solution that overflows
         grid = Grid((6, 5))
         pattern = InteriorPattern(grid, [(0, 0)], symmetric)
         band = pattern.fill([diagonal])
         state = np.linspace(0.0, 1.0, grid.n_nodes)
         with pytest.raises(LinearSolveFailure, match=reason) as info:
-            pattern.solve(band, np.full(len(grid.interior_idx), 1e10), state)
+            if reason == "non-finite":
+                pattern.solve(pattern.factor(band, state), np.full(len(grid.interior_idx), 1e10), state)
+            else:
+                pattern.factor(band, state)
         np.testing.assert_array_equal(info.value.field.values, state)
 
 
@@ -318,3 +326,37 @@ class TestPoissonStart:
             u = poisson_start(grid, g[b], f)
             np.testing.assert_array_equal(u[b], g[b])
             assert np.max(np.abs(u - exact)) <= 1e-12 * (1.0 + np.max(np.abs(exact)))
+
+    @pytest.mark.parametrize("shape, extent", [((257,), (1.0,)), ((129, 129), (1.0, 1.0)), ((17, 65), (0.25, 4.0))])
+    def test_true_residual_at_scale(self, shape, extent):
+        # the dense oracle above reaches 9 nodes per axis: here the 3-/5-point
+        # Laplacian of the start is recomputed on large and stretched grids
+        grid = Grid(shape, extent=extent)
+        rng = np.random.default_rng(7)
+        f = rng.uniform(-2.0, 2.0, len(grid.interior_idx))
+        u = poisson_start(grid, rng.uniform(-2.0, 2.0, len(grid.boundary_idx)), f)
+        U = u.reshape(grid.shape[::-1])
+        inner = (slice(1, -1),) * grid.dim
+        lap = np.zeros(U[inner].shape)
+        for axis, h in enumerate(grid.spacing[::-1]):
+            ahead, behind = list(inner), list(inner)
+            ahead[axis], behind[axis] = slice(2, None), slice(None, -2)
+            lap += (U[tuple(ahead)] - 2.0 * U[inner] + U[tuple(behind)]) / h ** 2
+        scale = np.max(np.abs(f)) + 4.0 * np.sum(grid.spacing ** -2.0) * np.max(np.abs(u))
+        assert np.max(np.abs(-lap.reshape(-1) - f)) <= 8.0 * np.finfo(float).eps * scale
+
+    def test_overflow_raises_with_the_boundary_data(self):
+        grid = Grid((9, 9))
+        g = np.full(len(grid.boundary_idx), 1e306)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinearSolveFailure, match="non-finite") as info:
+            poisson_start(grid, g, 0.0)
+        np.testing.assert_array_equal(info.value.field.values[grid.boundary_idx], g)
+        assert np.all(info.value.field.values[grid.interior_idx] == 0.0)
+
+    def test_makes_no_factorization(self, monkeypatch):
+        def refuse(self, band, state):
+            raise AssertionError("poisson_start factored a band")
+
+        monkeypatch.setattr(InteriorPattern, "factor", refuse)
+        for grid in (Grid((33,)), Grid((17, 33))):
+            poisson_start(grid, np.ones(len(grid.boundary_idx)), 1.0)

@@ -13,7 +13,7 @@ from oracles import (
 )
 
 from doublephase.errors import InfeasibleObstacle, ValidationError
-from doublephase.grids import BoundaryData, Grid, NodalField, interpolate
+from doublephase.grids import BoundaryData, Grid, InteriorPattern, NodalField, interpolate
 from doublephase.operators import CoefficientField, DoublePhaseParams
 from doublephase.orlicz import gradient_modular
 from doublephase.studies import trig_series
@@ -397,6 +397,34 @@ class TestSolveDirichlet:
             if calls[k][1] == calls[k - 1][1] and np.array_equal(calls[k][0], calls[k - 1][0])
         ]
         assert repeats == []
+
+    def test_one_factorization_per_loop_step(self, monkeypatch):
+        # the warm start factors nothing, and the closing step solves with
+        # the last factor of the loop: one more solve than factorizations
+        factors, solves = [], []
+        factor, solve = InteriorPattern.factor, InteriorPattern.solve
+
+        def recording_factor(self, band, state):
+            factors.append(state.copy())
+            return factor(self, band, state)
+
+        def recording_solve(self, lu, rhs, state):
+            solves.append(state.copy())
+            return solve(self, lu, rhs, state)
+
+        monkeypatch.setattr(InteriorPattern, "factor", recording_factor)
+        monkeypatch.setattr(InteriorPattern, "solve", recording_solve)
+        spec = ProblemSpec(grid=Grid((33, 33)), params=const_params(2.5, 3.0, a0=1.0),
+                           boundary=smooth_bd(), epsilon=1.0)
+        _u, rep = solve_dirichlet(spec)
+        assert rep.converged and rep.delta_schedule == DELTA_SCHEDULE
+        loop_steps = len(solves) - 1
+        assert len(factors) == loop_steps > 1
+        # every loop step is kept; the closing step only if it helped
+        assert rep.iterations in (loop_steps, loop_steps + 1)
+        for state, other in zip(factors, solves):
+            np.testing.assert_array_equal(state, other)
+        assert not np.array_equal(factors[-1], solves[-1])  # a chord step
 
     def test_grid_mismatch_detected(self):
         g = Grid((9, 9))

@@ -17,7 +17,7 @@ from doublephase.errors import (
     NonConvergence,
     ValidationError,
 )
-from doublephase.grids import BoundaryData, Grid, NodalField, interpolate
+from doublephase.grids import BoundaryData, Grid, InteriorPattern, NodalField, interpolate
 from doublephase.operators import CoefficientField, DoublePhaseParams, a_flux_jacobian
 from doublephase.studies import _normalized_closure, trig_series
 from doublephase.variational import ProblemSpec, solve_dirichlet
@@ -419,6 +419,23 @@ class TestSolver:
         u, _ = solve_viscosity(spec)
         exact = flux_inversion_solution(2.5, 3.0, 1.0, 0.3, 0.0, 1.0, g.coords[:, 0])
         assert np.max(np.abs(u.values - exact)) <= 1e-5
+
+    def test_one_factorization_per_step(self, monkeypatch):
+        factors = []
+        factor = InteriorPattern.factor
+
+        def recording(self, band, state):
+            factors.append(band.shape)
+            return factor(self, band, state)
+
+        monkeypatch.setattr(InteriorPattern, "factor", recording)
+        spec = ProblemSpec(
+            grid=Grid((17, 17)), params=const_params(2.5, 3.0, a0=1.0), epsilon=1.0,
+            boundary=BoundaryData.from_callable(lambda pts: 0.4 * pts[:, 0] + 0.2 * np.sin(np.pi * pts[:, 1])),
+        )
+        _u, rep = solve_viscosity(spec)
+        assert rep.converged and len(rep.delta_schedule) == 1
+        assert len(factors) == rep.iterations > 1
 
     def test_deterministic_fixed_point(self):
         g = Grid((13, 13))
