@@ -29,6 +29,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((5, 5, 5))
 
+    @pytest.mark.parametrize("shape, lower, extent", [
+        ((3,), (1e20,), (1.0,)),                 # nodes collapse onto one float
+        ((3, 3), (0.0, 1e20), (1.0, 1.0)),
+        ((3, 3), (0.0, 0.0), (1e-200, 1e-200)),  # cell area underflows
+    ])
+    def test_degenerate_element_raises_at_construction(self, shape, lower, extent):
+        with pytest.raises(ValueError, match="degenerate element"):
+            Grid(shape, lower=lower, extent=extent)
+
     def test_measures_sum_to_domain(self):
         g = Grid((9, 13), lower=(1.0, -2.0), extent=(2.0, 3.0))
         assert g.element_measures.sum() == pytest.approx(6.0, rel=1e-12)
