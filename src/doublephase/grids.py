@@ -3,11 +3,12 @@
 Nodes are ordered row-major with x fastest: node (ix, iy) has flat index
 ``iy * nx + ix``. Every 2D cell is split into two triangles along the
 lower-left to upper-right diagonal, so assembly is deterministic and
-orientation-consistent. The element tables (vertices, measures,
-centroids and P1 gradient coefficients) are built on first use;
-:data:`ELEMENT_TYPES` describes the one segment (1D) or the two triangles
-(2D) of a cell once, with constant P1 gradients, so that assembly can run
-on slices of the nodal values.
+orientation-consistent. :data:`ELEMENT_TYPES` describes the one segment
+(1D) or the two triangles (2D) of a cell once, with constant P1
+gradients; :class:`Grid` turns it into one slice of the nodal values per
+vertex, so that every per-element quantity (vertex values, gradients,
+means, centroids) and the assembly run on slices over all cells at once.
+Every element has the measure prod(h) / dim!.
 :class:`InteriorPattern` holds LAPACK band storage over the interior
 nodes, which is banded in this order, with one band row per node offset
 of a stencil: both solvers assemble their Newton matrices into it, factor
@@ -16,6 +17,7 @@ start of both: at p = q = 2 both reduce to the discrete Poisson problem,
 which it solves by sine transforms, with no band.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -41,7 +43,7 @@ _MAGIC = "DPFIELD v1"
 # (dx[, dy]) from the cell's first node, and per axis the (tail, head)
 # vertices whose difference over that axis' spacing is that component of
 # the P1 gradient. A 2D cell holds the lower (00, 10, 11) and the upper
-# (00, 11, 01) triangle; ``Grid.elements`` lists the elements type by type,
+# (00, 11, 01) triangle. Per-element arrays list the elements type by type,
 # cells in node order within a type.
 ELEMENT_TYPES = {
     1: ((((0,), (1,)), ((0, 1),)),),
@@ -79,6 +81,11 @@ class Grid:
         self.spacing = extent / (np.array(shape, dtype=float) - 1.0)
         self.n_nodes = int(np.prod(shape))
         self.element_types = ELEMENT_TYPES[dim]
+        # cells per axis of the nodal array, (ny - 1, nx - 1) in 2D
+        self.cells = tuple(s - 1 for s in shape[::-1])
+        self.n_cells = int(np.prod(self.cells))
+        self.n_elements = len(self.element_types) * self.n_cells
+        self.element_measure = float(np.prod(self.spacing)) / math.factorial(dim)
         self._build_nodes()
 
     def _build_nodes(self):
@@ -105,49 +112,47 @@ class Grid:
         self.interior_idx = np.flatnonzero(~boundary)
 
     @cached_property
-    def elements(self):
-        """Vertex node indices, (n_elements, dim + 1)."""
-        strides = np.cumprod((1,) + self.shape[:-1])
-        # first node of every cell (all but the last node along each axis)
-        first = np.arange(self.n_nodes).reshape(self.shape[::-1])[(slice(0, -1),) * self.dim].ravel()
-        return np.vstack([
-            np.column_stack([first + np.dot(offset, strides) for offset in verts])
+    def element_cuts(self):
+        """Per element type, one slice per vertex of the nodal values read
+        as an array over the grid ((ny, nx) in 2D): element ``c`` of the
+        type has that vertex at entry ``c`` of the slice."""
+        return [
+            [tuple(slice(o, o + c) for o, c in zip(v[::-1], self.cells)) for v in verts]
             for verts, _edges in self.element_types
-        ])
+        ]
+
+    @cached_property
+    def element_diffs(self):
+        """Per type and axis i: (i, type, head slice, tail slice), whose
+        difference over h_i is that component of the P1 gradient."""
+        return [
+            (i, t, cuts[head], cuts[tail])
+            for t, (cuts, (_verts, edges)) in enumerate(zip(self.element_cuts, self.element_types))
+            for i, (tail, head) in enumerate(edges)
+        ]
+
+    def element_vertices(self, values):
+        """Nodal ``values`` (n_nodes, ...) at the vertices of every element,
+        (types, dim + 1, *cells, ...)."""
+        v = values.reshape(self.shape[::-1] + values.shape[1:])
+        return np.array([[v[cut] for cut in cuts] for cuts in self.element_cuts])
+
+    def gradients(self, values):
+        """P1 gradients of nodal ``values``, (dim, types, *cells)."""
+        v = values.reshape(self.shape[::-1])
+        G = np.empty((self.dim, len(self.element_types)) + self.cells)
+        for i, t, head, tail in self.element_diffs:
+            np.subtract(v[head], v[tail], out=G[i, t])
+        G *= (1.0 / self.spacing).reshape((-1,) + (1,) * (self.dim + 1))
+        return G
 
     @cached_property
     def element_centroids(self):
-        return self.coords[self.elements].mean(axis=1)
+        return self.element_vertices(self.coords).mean(axis=1).reshape(-1, self.dim)
 
     @cached_property
     def element_measures(self):
-        return np.abs(self._signed_measures()) / self.dim
-
-    @cached_property
-    def grad_coeffs(self):
-        """P1 gradient of each vertex' hat function, (n_elements, dim + 1, dim)."""
-        verts = self.coords[self.elements]
-        if self.dim == 1:
-            g = np.empty((len(verts), 2, 1))
-            g[:, 0, 0] = -1.0
-            g[:, 1, 0] = 1.0
-        else:
-            # grad phi_i = perp(opposite edge) / (2 * signed area)
-            g = np.empty((len(verts), 3, 2))
-            for i in range(3):
-                edge = verts[:, (i + 2) % 3, :] - verts[:, (i + 1) % 3, :]
-                g[:, i, 0] = -edge[:, 1]
-                g[:, i, 1] = edge[:, 0]
-        return g / self._signed_measures()[:, None, None]
-
-    def _signed_measures(self):
-        """Per element: the length in 1D, twice the signed area in 2D."""
-        verts = self.coords[self.elements]
-        e1 = verts[:, 1, :] - verts[:, 0, :]
-        if self.dim == 1:
-            return e1[:, 0]
-        e2 = verts[:, 2, :] - verts[:, 0, :]
-        return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        return np.full(self.n_elements, self.element_measure)
 
     def interior_depth_mask(self, depth):
         """Nodes at least ``depth`` layers away from the boundary."""
@@ -166,7 +171,7 @@ class Grid:
     def interior_element_mask(self, depth):
         """Elements whose vertices all satisfy :meth:`interior_depth_mask`."""
         node_mask = self.interior_depth_mask(depth)
-        return node_mask[self.elements].all(axis=1)
+        return self.element_vertices(node_mask).all(axis=1).reshape(-1)
 
     def refine(self):
         """Same domain with twice the resolution (2n - 1 nodes per axis)."""
@@ -180,8 +185,8 @@ class Grid:
         return (
             isinstance(other, Grid)
             and self.shape == other.shape
-            and np.allclose(self.lower, other.lower)
-            and np.allclose(self.extent, other.extent)
+            and np.array_equal(self.lower, other.lower)
+            and np.array_equal(self.upper, other.upper)
         )
 
     @property
@@ -414,22 +419,26 @@ class BoundaryData:
 
 
 def p1_gradient(field, element):
-    """Exact gradient of the linear interpolant on one element; shape (dim,)."""
+    """Exact gradient of the linear interpolant on one element; shape (dim,).
+
+    Elements are numbered type by type, cells in node order within a type,
+    so only element ``element``'s own vertices are read."""
     grid = field.grid
-    conn = grid.elements[element]
-    return grid.grad_coeffs[element].T @ field.values[conn]
+    t, cell = divmod(range(grid.n_elements)[element], grid.n_cells)
+    at = np.unravel_index(cell, grid.cells)
+    v = field.values.reshape(grid.shape[::-1])
+    diffs = [v[head][at] - v[tail][at] for _i, tt, head, tail in grid.element_diffs if tt == t]
+    return np.array(diffs) * (1.0 / grid.spacing)
 
 
 def element_gradients(field):
     """Per-element P1 gradients, shape (n_elements, dim)."""
-    grid = field.grid
-    vals = field.values[grid.elements]
-    return np.einsum("eki,ek->ei", grid.grad_coeffs, vals)
+    return field.grid.gradients(field.values).reshape(field.grid.dim, -1).T
 
 
 def element_means(field):
     """Value of the P1 interpolant at element centroids."""
-    return field.values[field.grid.elements].mean(axis=1)
+    return field.grid.element_vertices(field.values).mean(axis=1).reshape(-1)
 
 
 def interpolate(grid, g):

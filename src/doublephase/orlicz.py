@@ -33,13 +33,11 @@ def _cell_data(field, params, which, element_mask=None):
         mags = np.linalg.norm(element_gradients(field), axis=1)
     else:
         raise ValueError("which must be 'values' or 'gradient'")
-    weights = grid.element_measures
     a = params.coeff.value(grid.element_centroids)
     if element_mask is not None:
         mags = mags[element_mask]
-        weights = weights[element_mask]
         a = a[element_mask]
-    return mags, weights, a
+    return mags, grid.element_measure, a
 
 
 def _modular_of(mags, weights, a, params, lam=1.0):

@@ -12,7 +12,6 @@ obstacle variant is the same Newton loop as a projected Newton method
 and exposes the complementarity structure.
 """
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -98,11 +97,12 @@ class _Assembler:
     """Per-spec data of the discrete energy; all hot loops live here.
 
     The nodal values are read as an array over the grid, (ny, nx) in 2D,
-    and each element type of ``grid.element_types`` as one slice of it per
-    vertex, over all cells at once; per-element arrays are (types, cells).
-    Every element has the measure prod(h) / dim!, and the elements of one
-    type share their constant P1 gradients: along axis i, the difference of
-    two vertices over h_i.
+    and each element type through the grid's slices (``grid.element_cuts``
+    and ``grid.element_diffs``), over all cells at once; per-element arrays
+    are (types, cells). Every element has the measure
+    ``grid.element_measure``, and the elements of one type share their
+    constant P1 gradients: along axis i, the difference of two vertices
+    over h_i.
     """
 
     def __init__(self, spec):
@@ -111,23 +111,11 @@ class _Assembler:
         self.p, self.q = spec.params.p, spec.params.q
         self.epsilon = spec.epsilon
         self.shape = grid.shape[::-1]
-        cells = tuple(s - 1 for s in self.shape)
         self.inv_h = (1.0 / grid.spacing).reshape((-1,) + (1,) * (grid.dim + 1))
-        self.measure = float(np.prod(grid.spacing)) / math.factorial(grid.dim)
-        self.a_e = spec.params.coeff.value(grid.element_centroids).reshape((-1,) + cells)
-        # per type: one slice per vertex; per axis and type: the slices of
-        # the head and tail vertices whose difference is that gradient part
-        self.cuts = [
-            [tuple(slice(o, o + c) for o, c in zip(v[::-1], cells)) for v in verts]
-            for verts, _edges in grid.element_types
-        ]
-        self.diffs = [
-            (i, t, cuts[head], cuts[tail])
-            for t, (cuts, (_verts, edges)) in enumerate(zip(self.cuts, grid.element_types))
-            for i, (tail, head) in enumerate(edges)
-        ]
+        self.measure = grid.element_measure
+        self.a_e = spec.params.coeff.value(grid.element_centroids).reshape((-1,) + grid.cells)
         load = np.zeros(self.shape)
-        for cuts in self.cuts:
+        for cuts in grid.element_cuts:
             for cut in cuts:
                 load[cut] += self.measure / len(cuts)
         self.load = load.reshape(-1)
@@ -171,11 +159,7 @@ class _Assembler:
 
     def _gradients(self, values):
         """P1 gradients G (dim, types, cells) and |G|^2 (types, cells)."""
-        v = values.reshape(self.shape)
-        G = np.empty((self.grid.dim,) + self.a_e.shape)
-        for i, t, head, tail in self.diffs:
-            np.subtract(v[head], v[tail], out=G[i, t])
-        G *= self.inv_h
+        G = self.grid.gradients(values)
         return G, (G * G).sum(axis=0)
 
     def energy(self, values, delta):
@@ -198,7 +182,7 @@ class _Assembler:
         # |e| A(Du) . grad phi: +-A_i / h_i at the head and tail of axis i
         flux = (self.measure * S) * G * self.inv_h
         r = np.zeros(self.shape)
-        for i, t, head, tail in self.diffs:
+        for i, t, head, tail in self.grid.element_diffs:
             r[head] += flux[i, t]
             r[tail] -= flux[i, t]
         return r.reshape(-1) - self.epsilon * self.load
@@ -220,7 +204,7 @@ class _Assembler:
             T[i, i] += s1
         T = T.reshape(weights.shape[2], len(s1), -1).swapaxes(0, 1)
         A = np.zeros((len(offsets),) + self.shape)
-        for entries, cuts, pairs in zip(weights @ T, self.cuts, targets):
+        for entries, cuts, pairs in zip(weights @ T, self.grid.element_cuts, targets):
             for (row, off), entry in zip(pairs, entries):
                 A[off][cuts[row]] += entry.reshape(s1.shape[1:])
         inner = (slice(None),) + (slice(1, -1),) * self.grid.dim

@@ -236,20 +236,56 @@ def difference_jacobian(residual_at, values, nodes, neighbors, step=1e-7):
     return J, spread
 
 
+def element_tables(grid):
+    """Gather tables of the P1 elements, built from ``grid.coords`` and
+    ``grid.shape`` alone: (connectivity (e, dim + 1), gradient coefficients
+    (e, dim + 1, dim), measures (e,), centroids (e, dim)).
+
+    A 1D cell is one segment; a 2D cell is split along its lower-left to
+    upper-right diagonal into the lower (00, 10, 11) and the upper
+    (00, 11, 01) triangle. Elements are listed type by type, cells in node
+    order within a type. A vertex' hat function has the gradient
+    -1/length, +1/length in 1D and perp(opposite edge) / (2 signed area)
+    in 2D.
+    """
+    ids = np.arange(int(np.prod(grid.shape))).reshape(grid.shape[::-1])
+    if len(grid.shape) == 1:
+        conn = np.column_stack([ids[:-1], ids[1:]])
+    else:
+        n00, n10, n11, n01 = ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
+        conn = np.vstack([
+            np.column_stack([n00.ravel(), n10.ravel(), n11.ravel()]),
+            np.column_stack([n00.ravel(), n11.ravel(), n01.ravel()]),
+        ])
+    verts = grid.coords[conn]
+    e1 = verts[:, 1, :] - verts[:, 0, :]
+    if len(grid.shape) == 1:
+        signed = e1[:, 0]
+        gcoef = np.tile([[-1.0], [1.0]], (len(conn), 1, 1))
+    else:
+        e2 = verts[:, 2, :] - verts[:, 0, :]
+        signed = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]  # twice the signed area
+        gcoef = np.empty((len(conn), 3, 2))
+        for i in range(3):
+            edge = verts[:, (i + 2) % 3, :] - verts[:, (i + 1) % 3, :]
+            gcoef[:, i, 0] = -edge[:, 1]
+            gcoef[:, i, 1] = edge[:, 0]
+    return conn, gcoef / signed[:, None, None], np.abs(signed) / len(grid.shape), verts.mean(axis=1)
+
+
 class ElementAssembly:
     """The P1 double-phase energy assembled element by element: gathers of
-    the nodal values through ``grid.elements``, the per-element gradient
-    coefficients ``grid.grad_coeffs`` and measures, ``einsum`` and
-    ``np.add.at``, with the law S = m^(p-2) + a m^(q-2),
-    Gamma = (p-2) m^(p-2) + (q-2) a m^(q-2) written out again. ``a_e`` holds
-    a at the element centroids; m = sqrt(|Du|^2 + delta^2).
+    the nodal values through the tables of :func:`element_tables`,
+    ``einsum`` and ``np.add.at``, with the law S = m^(p-2) + a m^(q-2),
+    Gamma = (p-2) m^(p-2) + (q-2) a m^(q-2) written out again. ``coeff``
+    maps points (k, dim) to a; it is read at the element centroids, and
+    m = sqrt(|Du|^2 + delta^2).
     """
 
-    def __init__(self, grid, p, q, a_e, eps):
-        self.grid, self.p, self.q, self.a_e, self.eps = grid, p, q, a_e, eps
-        self.conn = grid.elements
-        self.gcoef = grid.grad_coeffs
-        self.weights = grid.element_measures
+    def __init__(self, grid, p, q, coeff, eps):
+        self.grid, self.p, self.q, self.eps = grid, p, q, eps
+        self.conn, self.gcoef, self.weights, centroids = element_tables(grid)
+        self.a_e = coeff(centroids)
         k = self.conn.shape[1]
         self.load = np.zeros(grid.n_nodes)
         np.add.at(self.load, self.conn, np.repeat(self.weights[:, None] / k, k, axis=1))

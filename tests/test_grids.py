@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import dense_from_band, quadratic_obstacle_solution
+from oracles import dense_from_band, element_tables, quadratic_obstacle_solution
 
-from doublephase.errors import CountMismatch, InvalidField, LinearSolveFailure, MalformedHeader
+from doublephase.errors import CountMismatch, GridMismatch, InvalidField, LinearSolveFailure, MalformedHeader
 from doublephase.grids import (
     BoundaryData,
     Grid,
     InteriorPattern,
     NodalField,
     element_gradients,
+    element_means,
     interpolate,
     p1_gradient,
     poisson_start,
@@ -62,8 +63,54 @@ class TestGrid:
         np.testing.assert_allclose(r.lower, g.lower)
         np.testing.assert_allclose(r.extent, g.extent)
 
+    @pytest.mark.parametrize("a, b", [
+        (Grid((5,), extent=(1e-9,)), Grid((5,), extent=(5e-9,))),
+        # disjoint domains, each of extent 1e-6
+        (Grid((5, 5), lower=(1e6, 0.0), extent=(1e-6, 1e-6)),
+         Grid((5, 5), lower=(1e6 + 5.0, 0.0), extent=(1e-6, 1e-6))),
+    ])
+    def test_tiny_or_distant_grids_are_not_compatible(self, a, b):
+        assert not a.compatible_with(b)
+        with pytest.raises(GridMismatch):
+            NodalField(a, np.zeros(a.n_nodes)) - NodalField(b, np.zeros(b.n_nodes))
+
+
+@st.composite
+def element_cases(draw):
+    """A random field on a 1D, square or non-square 2D grid with extents
+    0.25-4 per axis and a shifted lower corner, and an interior depth."""
+    nx = draw(st.integers(3, 9))
+    shape = draw(st.sampled_from([(nx,), (nx, nx), (nx, draw(st.integers(3, 9)))]))
+    grid = Grid(shape, lower=[draw(st.floats(-2.0, 2.0)) for _ in shape],
+                extent=[draw(st.floats(0.25, 4.0)) for _ in shape])
+    values = draw(hnp.arrays(float, grid.n_nodes, elements=st.floats(-1.0, 1.0)))
+    return NodalField(grid, values), draw(st.integers(0, 3))
+
 
 class TestFieldsAndGradients:
+    @settings(max_examples=100)
+    @given(element_cases())
+    def test_sliced_helpers_match_gather_tables(self, case):
+        field, depth = case
+        grid, values = field.grid, field.values
+        conn, gcoef, measures, centroids = element_tables(grid)
+        grads = element_gradients(field)
+        ref = np.einsum("eki,ek->ei", gcoef, values[conn])
+        # below the underflow threshold rounding is absolute
+        scale = np.einsum("eki,ek->ei", np.abs(gcoef), np.abs(values[conn]))
+        assert np.all(np.abs(grads - ref) <= np.maximum(1e-13 * scale, 64 * np.finfo(float).smallest_subnormal))
+        np.testing.assert_allclose(grid.element_measures, measures, rtol=1e-13)
+        # row for row, which pins the element order
+        np.testing.assert_array_equal(element_means(field), values[conn].mean(axis=1))
+        np.testing.assert_array_equal(grid.element_centroids, centroids)
+        np.testing.assert_array_equal(grid.interior_element_mask(depth),
+                                      grid.interior_depth_mask(depth)[conn].all(axis=1))
+        for e in range(len(conn)):
+            np.testing.assert_array_equal(p1_gradient(field, e), grads[e])
+        for e in (len(conn), -len(conn) - 1):
+            with pytest.raises(IndexError):
+                p1_gradient(field, e)
+
     def test_affine_exactness_2d(self):
         g = Grid((9, 9), lower=(0.5, -0.5), extent=(2.0, 1.0))
         f = interpolate(g, lambda pts: 2.0 * pts[:, 0] - pts[:, 1] + 0.25)
@@ -151,6 +198,7 @@ class TestSerialization:
         np.testing.assert_array_equal(back.grid.lower.view(np.uint64), grid.lower.view(np.uint64))
         np.testing.assert_array_equal(back.grid.upper.view(np.uint64), grid.upper.view(np.uint64))
         np.testing.assert_array_equal(back.grid.coords, grid.coords)
+        assert back.grid.compatible_with(grid)
 
     @pytest.mark.xfail(strict=True, reason="the file stores lower and upper; "
                        "upper - lower need not give back the extent (0.1 + 0.2 - 0.1)")

@@ -220,8 +220,7 @@ class TestSlicedAssembly:
         spec = ProblemSpec(grid=grid, params=params, boundary=BoundaryData.constant(0.0),
                            epsilon=eps)
         asm = _Assembler(spec)
-        ref = ElementAssembly(grid, params.p, params.q,
-                              params.coeff.value(grid.element_centroids), eps)
+        ref = ElementAssembly(grid, params.p, params.q, params.coeff.value, eps)
         # below the underflow threshold rounding is absolute, so the
         # relative bound gets a floor of a few subnormal units
         tiny = 64 * np.finfo(float).smallest_subnormal
