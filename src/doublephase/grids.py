@@ -463,8 +463,9 @@ def write_field(field, destination):
         pieces.append(format(grid.lower[d], ".17g"))
         pieces.append(format(grid.upper[d], ".17g"))
     lines.append(" ".join(pieces))
-    lines.extend(format(v, ".16e") for v in field.values)  # 17 significant digits
-    text = "\n".join(lines) + "\n"
+    values = field.values.tolist()
+    # 17 significant digits, one value per line, in one formatting call
+    text = "\n".join(lines) + "\n" + ("%.16e\n" * len(values)) % tuple(values)
     with open(destination, "w", encoding="ascii") as f:
         f.write(text)
 
@@ -501,7 +502,7 @@ def read_field(source):
             f"expected {grid.n_nodes} values, file holds {len(body)}"
         )
     try:
-        values = np.array([float(t) for t in body])
+        values = np.fromiter(map(float, body), dtype=float, count=len(body))
     except ValueError as exc:
         raise InvalidField("non-numeric nodal value") from exc
     if not np.all(np.isfinite(values)):

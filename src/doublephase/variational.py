@@ -450,7 +450,8 @@ def approximation_sequence(spec, lsc_target, levels):
     Obstacles are quadratic inf-convolution envelopes of the target at
     geometrically shrinking radii, so psi_1 <= ... <= psi_k <= target,
     each computed exactly one grid axis at a time; returns a list of
-    (psi_field, solution_field) pairs.
+    (psi_field, solution_field) pairs. A level whose psi equals the
+    previous level's bit for bit gets a copy of that level's solution.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -472,10 +473,12 @@ def approximation_sequence(spec, lsc_target, levels):
 
     out = []
     for radius in radii:
-        psi_vals = _quadratic_lower_envelope(grid, target, radius)
-        psi = NodalField(grid, psi_vals)
-        sub = replace(spec, boundary=None, obstacle=psi)
-        u_j, _ = solve_obstacle(sub)
+        psi = NodalField(grid, _quadratic_lower_envelope(grid, target, radius))
+        if out and np.array_equal(psi.values, out[-1][0].values):
+            # the same obstacle has the same solution: one solve per distinct psi
+            u_j = out[-1][1].copy()
+        else:
+            u_j, _ = solve_obstacle(replace(spec, boundary=None, obstacle=psi))
         out.append((psi, u_j))
     return out
 

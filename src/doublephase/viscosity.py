@@ -20,6 +20,7 @@ the squared residual globalizes it, and a continuation in the gradient
 floor, from 1 down to h, takes over when that line search stalls.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,11 +70,16 @@ MAX_BACKTRACK = 8
 # gradient floors of the continuation, 1 down to 2^-12; a solve that
 # needs it visits those above its grid spacing h, then h itself
 FLOOR_SCHEDULE = tuple(0.5 ** k for k in range(13))
+# pair entries per block of the doubling search: one 65^2 row offset
+# (at most 65^3 pairs) is one block, a 1D row of 2049 nodes five
+BLOCK_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
 class SecondOrderJet:
-    """Point, gradient and symmetric Hessian of a smooth test function."""
+    """Point, gradient and symmetric Hessian of a smooth test function,
+    or a batch of them: x (..., n), eta (..., n) and hess (..., n, n),
+    with batch shapes that broadcast. Each Hessian must be symmetric."""
 
     x: np.ndarray
     eta: np.ndarray
@@ -83,8 +89,9 @@ class SecondOrderJet:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
         object.__setattr__(self, "hess", np.asarray(self.hess, dtype=float))
-        asym = float(np.max(np.abs(self.hess - self.hess.T)))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(self.hess)))):
+        X = self.hess
+        asym = np.max(np.abs(X - np.swapaxes(X, -1, -2)), axis=(-2, -1))
+        if np.any(asym > 1e-12 * np.maximum(1.0, np.max(np.abs(X), axis=(-2, -1)))):
             raise ValueError("Hessian must be symmetric")
 
 
@@ -141,22 +148,30 @@ def nondiv_eval(params, jet):
     """Value of the expanded operator F on a second-order jet:
     -(S tr X + Gamma <X w, w>) - |eta|^(q-2) eta . grad a(x).
 
-    At a vanishing gradient and p >= 2 the degenerate factors take their
-    limits (0^0 = 1 keeps the exponent-2 phases, w w^T drops out); for
-    p < 2 the value is undefined and :class:`DegenerateGradient` is raised.
+    A batch of jets gives an array over the broadcast batch shape, a
+    single jet a float. At a vanishing gradient and p >= 2 the degenerate
+    factors take their limits (0^0 = 1 keeps the exponent-2 phases, w w^T
+    drops out); for p < 2 the value is undefined and
+    :class:`DegenerateGradient` is raised if any jet has eta = 0.
     """
     p, q = params.p, params.q
-    a = params.coeff.value(jet.x)
-    nrm = float(np.linalg.norm(jet.eta))
-    if nrm == 0.0:
-        if p < 2.0:
-            raise DegenerateGradient("operator undefined at a vanishing gradient for p < 2")
-        w = jet.eta
-    else:
-        w = jet.eta / nrm
-    first = float(first_order_term(q, nrm, jet.eta, params.coeff.grad_value(jet.x)))
+    eta, X = jet.eta, jet.hess
+    n = eta.shape[-1]
+    batch = np.broadcast_shapes(jet.x.shape[:-1], eta.shape[:-1], X.shape[:-2])
+    pts = np.broadcast_to(jet.x, batch + (n,)).reshape(-1, n)
+    a = params.coeff.value(pts).reshape(batch)
+    grad_a = params.coeff.grad_value(pts).reshape(batch + (n,))
+    nrm = np.linalg.norm(eta, axis=-1)
+    flat = nrm == 0.0
+    if p < 2.0 and np.any(flat):
+        raise DegenerateGradient("operator undefined at a vanishing gradient for p < 2")
+    w = eta / np.where(flat, 1.0, nrm)[..., None]
+    first = first_order_term(q, nrm, eta, grad_a)
     S, gam = flux_coefficients(p, q, a, nrm)
-    return -(S * float(np.trace(jet.hess)) + gam * float(w @ jet.hess @ w)) - first
+    trace = np.trace(X, axis1=-2, axis2=-1)
+    wXw = np.sum(w * np.sum(X * w[..., None, :], axis=-1), axis=-1)
+    value = -(S * trace + gam * wXw) - first
+    return float(value) if value.ndim == 0 else value
 
 
 def consistency_check(params, phi, x, h=1e-3):
@@ -517,12 +532,11 @@ def generate_touching_quadratics(field, x0, count, rng=None):
 
     if grid.dim == 1:
         h = grid.spacing[0]
-        slopes = [
-            (u[x0 + 1] - u0) / h,
-            (u0 - u[x0 - 1]) / h,
-            (u[x0 + 1] - u[x0 - 1]) / (2 * h),
-        ]
-        cands = [np.array([s]) for s in slopes]
+        cands = np.array([
+            [(u[x0 + 1] - u0) / h],
+            [(u0 - u[x0 - 1]) / h],
+            [(u[x0 + 1] - u[x0 - 1]) / (2 * h)],
+        ])
     else:
         nx = grid.shape[0]
         hx, hy = grid.spacing
@@ -536,33 +550,25 @@ def generate_touching_quadratics(field, x0, count, rng=None):
             (u0 - u[x0 - nx]) / hy,
             (u[x0 + nx] - u[x0 - nx]) / (2 * hy),
         ]
-        cands = [np.array([dx, dy]) for dx in dxs for dy in dys]
+        cands = np.array([[dx, dy] for dx in dxs for dy in dys])
 
     # top-up perturbations stay on the scale of the local difference
     # quotients, so a flat node still yields no admissible slope
     base_count = len(cands)
-    slope_scale = float(np.max(np.abs(np.array(cands))))
-    if slope_scale > 1e-13 * scale:
-        while len(cands) < count + 8:
-            cands.append(cands[len(cands) % base_count]
-                         + rng.normal(scale=0.3 * slope_scale, size=grid.dim))
-
-    diff_all = coords - p0
-    d2 = np.sum(diff_all * diff_all, axis=1)
-    d2[x0] = np.inf  # exclude the touch node itself
-
-    out = []
-    for b in cands:
-        if len(out) >= count:
-            break
-        if np.linalg.norm(b) <= 1e-13 * (1.0 + slope_scale):
-            continue
-        gap = u0 - u + diff_all @ b + margin
-        curvature = max(float(np.max(2.0 * gap / d2)), margin)
-        out.append(TouchingQuadratic(p0, u0, b, curvature))
-    if not out:
+    slope_scale = float(np.max(np.abs(cands)))
+    if slope_scale > 1e-13 * scale and count + 8 > base_count:
+        noise = rng.normal(scale=0.3 * slope_scale, size=(count + 8 - base_count, grid.dim))
+        cands = np.concatenate([cands, cands[np.arange(base_count, count + 8) % base_count] + noise])
+    slopes = cands[np.linalg.norm(cands, axis=1) > 1e-13 * (1.0 + slope_scale)][:count]
+    if not len(slopes):
         raise NoTouchFound(f"no nonzero touching slope at node {x0}")
-    return out
+
+    diff = coords.T - p0[:, None]
+    d2 = np.sum(diff * diff, axis=0)
+    d2[x0] = np.inf  # exclude the touch node itself
+    gap = (u0 - u) + slopes @ diff + margin
+    curvatures = np.maximum(np.max(2.0 * gap / d2, axis=1), margin)
+    return [TouchingQuadratic(p0, u0, b, k) for b, k in zip(slopes, curvatures)]
 
 
 def touch_test(field, params, count, epsilon=0.0, seed=0, per_node=5):
@@ -580,6 +586,7 @@ def touch_test(field, params, count, epsilon=0.0, seed=0, per_node=5):
     tolerance = c_tol * h
     nodes = grid.interior_idx.copy()
     rng.shuffle(nodes)
+    eye = np.eye(grid.dim)
     reports = []
     for node in nodes:
         if len(reports) >= count:
@@ -589,18 +596,22 @@ def touch_test(field, params, count, epsilon=0.0, seed=0, per_node=5):
             quads = generate_touching_quadratics(field, node, take, rng=rng)
         except NoTouchFound:
             continue
-        neighbors = _neighbor_indices(grid, node)
-        for phi in quads:
-            values = []
-            for nb in neighbors:
-                y = grid.coords[nb]
-                try:
-                    values.append(nondiv_eval(params, phi.jet(y)))
-                except DegenerateGradient:
-                    continue
-            if not values:
-                continue
-            value = float(np.max(values))
+        # every (quadratic, neighbor) pair in one jet batch:
+        # D phi(y) = b - K (y - x0), D^2 phi = -K I
+        ys = grid.coords[_neighbor_indices(grid, node)]
+        slopes = np.array([phi.slope for phi in quads])
+        curvatures = np.array([phi.curvature for phi in quads])
+        eta = slopes[:, None, :] - curvatures[:, None, None] * (ys - grid.coords[node])
+        hess = -curvatures[:, None, None, None] * eye
+        # at p < 2 the operator is undefined where D phi vanishes: drop those pairs
+        pair = (np.linalg.norm(eta, axis=-1) > 0.0) | (params.p >= 2.0)
+        values = np.full(pair.shape, -np.inf)
+        values[pair] = nondiv_eval(params, SecondOrderJet(
+            np.broadcast_to(ys, eta.shape)[pair],
+            eta[pair],
+            np.broadcast_to(hess, eta.shape + (grid.dim,))[pair],
+        ))
+        for phi, value in zip(quads, values.max(axis=1).tolist()):
             reports.append(
                 TouchReport(
                     point=grid.coords[node].copy(),
@@ -639,8 +650,9 @@ def doubling_penalty(u, v, j, s, sigma=0.5, params=None):
 
     A maximizer has (j/s)|x - y|^s <= max u - min v - max(u - v), so only
     row offsets dj within that radius (widened against rounding) are
-    searched; per dj the penalty is built once over the x pairs and
-    maximized over its rows in one broadcast. Ties break to the
+    searched; per dj the penalty is built over the x pairs and maximized
+    over its rows by broadcast, in blocks of at most about BLOCK_PAIRS
+    (x, y) pairs, so memory stays bounded. Ties break to the
     lexicographically smallest (x index, y index). Requires
     s > max{2, p/(p-1), q/(q-1)} (the last two only when params are given).
     """
@@ -658,23 +670,27 @@ def doubling_penalty(u, v, j, s, sigma=0.5, params=None):
     ny = u.grid.n_nodes // nx
     uv, vv = u.values.reshape(ny, nx), v.values.reshape(ny, nx)
     xs, ys = coords[:nx, 0], coords[::nx, -1]
-    dx2 = (xs[:, None] - xs) ** 2
     diag, top = float(np.max(u.values - v.values)), float(np.max(u.values) - np.min(v.values))
     ulps = 4.0 * np.finfo(float).eps  # slack for rounding of values and coordinates
     radius = (s * (top - diag + ulps * (abs(top) + abs(diag))) / j) ** (1.0 / s) * (1.0 + 1e-9)
     rows = int(min(ny - 1, (radius + ulps * float(np.max(np.abs(coords)))) // u.grid.spacing[-1]))
+    # a block pairs x rows by x columns with whole rows of y
+    cols = min(nx, max(1, BLOCK_PAIRS // nx))
+    per_block = max(1, BLOCK_PAIRS // (cols * nx))
     best, best_ix, best_iy = -np.inf, 0, 0
     for dj in range(-rows, rows + 1):
         iy = np.arange(max(0, -dj), ny - max(0, dj))
         dys = ys[iy] - ys[iy + dj]
         for dy in np.unique(dys):  # rounding of the coordinates may split the rows
-            sel = iy[dys == dy]
-            block = uv[sel, :, None] - vv[sel + dj, None, :]
-            block -= (j / s) * np.sqrt(dx2 + dy * dy) ** s
-            r, ix, kx = np.unravel_index(np.argmax(block), block.shape)
-            cand = (int(sel[r] * nx + ix), int((sel[r] + dj) * nx + kx))
-            if block[r, ix, kx] > best or (block[r, ix, kx] == best and cand < (best_ix, best_iy)):
-                best, (best_ix, best_iy) = float(block[r, ix, kx]), cand
+            same = iy[dys == dy]
+            for r0, c0 in itertools.product(range(0, len(same), per_block), range(0, nx, cols)):
+                sel = same[r0:r0 + per_block]
+                block = uv[sel, c0:c0 + cols, None] - vv[sel + dj, None, :]
+                block -= (j / s) * np.sqrt((xs[c0:c0 + cols, None] - xs) ** 2 + dy * dy) ** s
+                r, ix, kx = np.unravel_index(np.argmax(block), block.shape)
+                cand = (int(sel[r] * nx + c0 + ix), int((sel[r] + dj) * nx + kx))
+                if block[r, ix, kx] > best or (block[r, ix, kx] == best and cand < (best_ix, best_iy)):
+                    best, (best_ix, best_iy) = float(block[r, ix, kx]), cand
     d = float(np.linalg.norm(coords[best_ix] - coords[best_iy]))
     return DoublingResult(
         x_index=best_ix, y_index=best_iy,

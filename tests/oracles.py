@@ -4,6 +4,8 @@ Everything here is built from quadrature, root finding and closed
 forms only; none of it shares code with the solvers under test.
 """
 
+import itertools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
@@ -125,6 +127,88 @@ def doubling_maximizer(coords, u, v, j, s):
     psi = u[:, None] - v[None, :] - (j / s) * dist ** s
     flat = int(np.argmax(psi))
     return flat // len(v), flat % len(v), float(psi.reshape(-1)[flat])
+
+
+def _touching_slopes(grid, u, node, count, rng):
+    """(slope, curvature) pairs of the quadratics touching u from below at
+    ``node``, one candidate at a time: the difference-quotient fan, topped
+    up by one seeded perturbation per missing candidate, then the smallest
+    curvature keeping each quadratic a margin below u at the other nodes."""
+    coords = grid.coords
+    p0, u0 = coords[node], u[node]
+    scale = 1.0 + float(np.max(np.abs(u)))
+    margin = 1e-12 * scale
+    steps = [(1, float(h)) for h in grid.spacing[:1]]
+    if len(grid.shape) == 2:
+        steps.append((grid.shape[0], float(grid.spacing[1])))
+    fans = [
+        [(u[node + k] - u0) / h, (u0 - u[node - k]) / h, (u[node + k] - u[node - k]) / (2 * h)]
+        for k, h in steps
+    ]
+    cands = [np.array(c) for c in itertools.product(*fans)]
+    base_count = len(cands)
+    slope_scale = float(np.max(np.abs(np.array(cands))))
+    if slope_scale > 1e-13 * scale:
+        while len(cands) < count + 8:
+            cands.append(cands[len(cands) % base_count]
+                         + rng.normal(scale=0.3 * slope_scale, size=len(grid.shape)))
+    diff_all = coords - p0
+    d2 = np.sum(diff_all * diff_all, axis=1)
+    d2[node] = np.inf
+    out = []
+    for b in cands:
+        if len(out) >= count:
+            break
+        if np.linalg.norm(b) <= 1e-13 * (1.0 + slope_scale):
+            continue
+        gap = u0 - u + diff_all @ b + margin
+        out.append((b, max(float(np.max(2.0 * gap / d2)), margin)))
+    return out
+
+
+def touch_loop(field, params, count, epsilon, seed, per_node=5):
+    """The touch test one (quadratic, neighbor) pair at a time: quadratics
+    from :func:`_touching_slopes` at the nodes of a seeded shuffle, and at
+    each grid neighbor y the operator written out on the jet
+    (y, b - K (y - x0), -K I). Pairs with a vanishing gradient are skipped
+    at p < 2. Returns one (point, slope, curvature, value, scale, passed)
+    per quadratic; value is the max over the neighbors, and scale the
+    largest |S tr X| + |Gamma w.Xw| + |T| among them."""
+    grid, u = field.grid, field.values
+    p, q, coeff = params.p, params.q, params.coeff
+    n = len(grid.shape)
+    rng = np.random.default_rng(seed)
+    tolerance = 10.0 * (1.0 + float(np.max(np.abs(u)))) * float(np.max(grid.spacing))
+    nodes = grid.interior_idx.copy()
+    rng.shuffle(nodes)
+    nx = grid.shape[0]
+    offsets = [-1, 1] if n == 1 else [-nx - 1, -nx, -nx + 1, -1, 1, nx - 1, nx, nx + 1]
+    out = []
+    for node in nodes:
+        if len(out) >= count:
+            break
+        x0 = grid.coords[node]
+        for b, K in _touching_slopes(grid, u, node, min(per_node, count - len(out)), rng):
+            X = -K * np.eye(n)
+            values, scales = [], []
+            for off in offsets:
+                y = grid.coords[node + off]
+                eta = b + X @ (y - x0)
+                r = float(np.sqrt(eta @ eta))
+                if r == 0.0 and p < 2.0:
+                    continue
+                w = eta / r if r > 0.0 else eta
+                a = float(coeff.value(y))
+                fp, fq = r ** (p - 2.0), a * r ** (q - 2.0)
+                S, gam = fp + fq, (p - 2.0) * fp + (q - 2.0) * fq
+                T = r ** (q - 2.0) * float(eta @ coeff.grad_value(y))
+                main, side = S * float(np.trace(X)), gam * float(w @ X @ w)
+                values.append(-(main + side) - T)
+                scales.append(abs(main) + abs(side) + abs(T))
+            if values:
+                value = max(values)
+                out.append((x0.copy(), b.copy(), K, value, max(scales), value >= epsilon - tolerance))
+    return out
 
 
 def dense_from_band(band, symmetric):

@@ -247,6 +247,28 @@ class TestSerialization:
         with pytest.raises(CountMismatch):
             read_field(path)
 
+    def test_body_matches_per_value_format(self, tmp_path):
+        g = Grid((len(SPECIAL_VALUES),))
+        write_field(NodalField(g, SPECIAL_VALUES), tmp_path / "f.txt")
+        body = (tmp_path / "f.txt").read_text().split("\n")[3:]
+        assert body == [format(v, ".16e") for v in SPECIAL_VALUES] + [""]
+
+    def test_two_numbers_on_a_line(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_field(NodalField(Grid((5,)), np.ones(5)), path)
+        lines = path.read_text().splitlines()
+        lines[4] = "1.0 2.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidField):
+            read_field(path)
+
+    def test_blank_lines_are_ignored(self, tmp_path):
+        path = tmp_path / "f.txt"
+        f = NodalField(Grid((5,)), np.arange(5.0) - 2.0)
+        write_field(f, path)
+        path.write_text("\n\n".join(path.read_text().splitlines()) + "\n\n  \n")
+        np.testing.assert_array_equal(read_field(path).values, f.values)
+
     def test_non_finite_value(self, tmp_path):
         g = Grid((5,))
         f = NodalField(g, np.ones(5))

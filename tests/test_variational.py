@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from oracles import (
     quadratic_obstacle_solution,
 )
 
+from doublephase import variational
 from doublephase.errors import InfeasibleObstacle, ValidationError
 from doublephase.grids import BoundaryData, Grid, InteriorPattern, NodalField, interpolate
 from doublephase.operators import CoefficientField, DoublePhaseParams
@@ -682,6 +685,30 @@ class TestApproximationSequence:
             prev = u_j
             dists.append(gradient_modular(target - u_j, params))
         assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
+
+    def test_one_solve_per_distinct_obstacle(self, monkeypatch):
+        g = Grid((65,))
+        params = const_params(2.5, 3.0, a0=1.0)
+        bd = BoundaryData.from_callable(lambda pts: 0.3 + 0.5 * np.sin(1.5 * np.pi * pts[:, 0]))
+        spec = ProblemSpec(grid=g, params=params, boundary=bd)
+        target, _ = solve_dirichlet(spec)
+        calls = []
+
+        def counted(sub):
+            calls.append(sub.obstacle.values)
+            return solve_obstacle(sub)
+
+        monkeypatch.setattr(variational, "solve_obstacle", counted)
+        pairs = approximation_sequence(spec, target, 5)
+        distinct = 1 + sum(not np.array_equal(a.values, b.values)
+                           for (a, _), (b, _) in zip(pairs, pairs[1:]))
+        assert distinct < len(pairs)  # the last two levels share psi here
+        assert len(calls) == distinct
+        for psi, u_j in pairs:
+            direct, _ = solve_obstacle(replace(spec, boundary=None, obstacle=psi))
+            np.testing.assert_array_equal(u_j.values, direct.values)
+        for (_, a), (_, b) in zip(pairs, pairs[1:]):
+            assert not np.shares_memory(a.values, b.values)
 
     @settings(max_examples=200)
     @given(envelope_cases())

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from oracles import (
     difference_jacobian,
     doubling_maximizer,
     radial_p_harmonic_jet,
+    touch_loop,
 )
 
 from doublephase.errors import (
@@ -18,9 +22,10 @@ from doublephase.errors import (
     ValidationError,
 )
 from doublephase.grids import BoundaryData, Grid, InteriorPattern, NodalField, interpolate
-from doublephase.operators import CoefficientField, DoublePhaseParams, a_flux_jacobian
+from doublephase.operators import CoefficientField, DoublePhaseParams, a_flux_jacobian, flux_coefficients
 from doublephase.studies import _normalized_closure, trig_series
 from doublephase.variational import ProblemSpec, solve_dirichlet
+from doublephase import viscosity
 from doublephase.viscosity import (
     Quadratic,
     SecondOrderJet,
@@ -72,6 +77,35 @@ def jet_cases(draw):
                    .filter(lambda v: np.linalg.norm(v) >= 1e-3))
     B = draw(hnp.arrays(float, (dim, dim), elements=st.floats(-3.0, 3.0)))
     return DoublePhaseParams(p, q, coeff=coeff), SecondOrderJet(x, eta, 0.5 * (B + B.T))
+
+
+@st.composite
+def jet_batches(draw):
+    """A batch of jets over a drawn batch shape in 1D or 2D: p below, at or
+    above 2 with q in [p, 3], a constant a or a(x) = 0.6 + 0.3 sin(k . x)
+    with its gradient, and at p >= 2 some rows with eta = 0. The closures
+    are elementwise, so each row of a does not depend on the batch (a BLAS
+    product may round one row differently in batches of other sizes)."""
+    dim = draw(st.sampled_from([1, 2]))
+    batch = draw(st.sampled_from([(1,), (5,), (2, 3)]))
+    p = draw(st.one_of(st.floats(1.5, 1.95), st.just(2.0), st.floats(2.05, 3.0)))
+    q = draw(st.floats(p, 3.0))
+    if draw(st.booleans()):
+        coeff = CoefficientField.constant(draw(st.floats(0.0, 1.0)))
+    else:
+        k = np.array([3.0, 1.0])[:dim]
+        coeff = CoefficientField.analytic(
+            lambda pts: 0.6 + 0.3 * np.sin(np.sum(pts * k, axis=1)),
+            lambda pts: 0.3 * np.cos(np.sum(pts * k, axis=1))[:, None] * k,
+        )
+    x = draw(hnp.arrays(float, batch + (dim,), elements=st.floats(0.0, 1.0)))
+    # every component at least 1e-3 keeps |eta|^2 a normal float
+    eta = draw(hnp.arrays(float, batch + (dim,), elements=st.floats(1e-3, 3.0)))
+    eta *= np.where(draw(hnp.arrays(bool, batch + (dim,))), -1.0, 1.0)
+    if p >= 2.0:
+        eta[draw(hnp.arrays(bool, batch))] = 0.0
+    B = draw(hnp.arrays(float, batch + (dim, dim), elements=st.floats(-3.0, 3.0)))
+    return DoublePhaseParams(p, q, coeff=coeff), x, eta, 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
 class TestNondivEval:
@@ -139,6 +173,36 @@ class TestNondivEval:
         expected = -np.trace(J @ jet.hess) - first
         scale = np.sum(np.abs(J)) * np.max(np.abs(jet.hess)) + abs(first)
         assert abs(nondiv_eval(pr, jet) - expected) <= 1e-14 * (1.0 + scale)
+
+    @settings(max_examples=200)
+    @given(jet_batches())
+    def test_batch_matches_single_jets(self, case):
+        # one batched evaluation and one call per jet agree to a few ulps
+        # of the terms' sizes |S tr X| + |Gamma w.Xw| + |T|
+        pr, x, eta, X = case
+        values = nondiv_eval(pr, SecondOrderJet(x, eta, X))
+        assert values.shape == x.shape[:-1]
+        for i in np.ndindex(values.shape):
+            single = nondiv_eval(pr, SecondOrderJet(x[i], eta[i], X[i]))
+            assert isinstance(single, float)
+            r = float(np.linalg.norm(eta[i]))
+            w = eta[i] / r if r > 0.0 else eta[i]
+            S, gam = flux_coefficients(pr.p, pr.q, pr.coeff.value(x[i]), r)
+            T = r ** (pr.q - 2.0) * float(eta[i] @ pr.coeff.grad_value(x[i]))
+            scale = abs(S * np.trace(X[i])) + abs(gam * (w @ X[i] @ w)) + abs(T)
+            assert abs(values[i] - single) <= 4.0 * np.finfo(float).eps * scale
+
+    def test_batch_with_one_degenerate_row_raises_below_two(self):
+        eta = np.array([[0.3, -0.4], [0.0, 0.0], [1.0, 2.0]])
+        jet = SecondOrderJet(np.zeros((3, 2)), eta, np.tile(np.eye(2), (3, 1, 1)))
+        with pytest.raises(DegenerateGradient):
+            nondiv_eval(const_params(1.5, 3.0), jet)
+
+    def test_batch_with_one_nonsymmetric_hessian_raises(self):
+        X = np.tile(np.eye(2), (3, 1, 1))
+        X[1, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            SecondOrderJet(np.zeros((3, 2)), np.ones((3, 2)), X)
 
 
 @st.composite
@@ -565,10 +629,10 @@ class TestSolver:
 
 
 class TestTouching:
-    def _solved_field(self, n=17, p=2.5, q=3.0, eps=0.0):
+    def _solved_field(self, n=17, p=2.5, q=3.0, eps=0.0, a0=1.0):
         g = Grid((n, n))
         spec = ProblemSpec(
-            grid=g, params=const_params(p, q, a0=1.0), epsilon=eps,
+            grid=g, params=const_params(p, q, a0=a0), epsilon=eps,
             boundary=BoundaryData.from_callable(
                 lambda pts: 0.5 * pts[:, 0] + 0.3 * pts[:, 1] + 0.2 * np.sin(np.pi * pts[:, 0])
             ),
@@ -633,6 +697,36 @@ class TestTouching:
         u, spec = self._solved_field(eps=0.1)
         reports = touch_test(u, spec.params, 60, epsilon=0.1, seed=5)
         assert np.mean([r.passed for r in reports]) >= 0.95
+
+    def test_degenerate_pair_is_dropped_below_two(self, monkeypatch):
+        # D phi vanishes exactly at the right neighbor (h = 1/4, b = K h):
+        # at p < 2 that pair is dropped and the left neighbor decides
+        g = Grid((5,))
+        u = interpolate(g, lambda pts: pts[:, 0] ** 2)
+        K = 2.0
+        monkeypatch.setattr(viscosity, "generate_touching_quadratics",
+                            lambda field, node, take, rng: [touching_quadratic(
+                                g.coords[node], u.values[node], [K * 0.25], K)])
+        pr = const_params(1.5, 1.8, a0=0.7)
+        (r,) = touch_test(u, pr, 1)
+        left = SecondOrderJet(r.point - 0.25, [2.0 * K * 0.25], [[-K]])
+        assert r.value == nondiv_eval(pr, left)
+
+    @pytest.mark.parametrize("p, q, a0", [(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)])
+    def test_matches_per_pair_loop(self, p, q, a0):
+        # the acceptance regimes; at p < 2 the loop skips degenerate pairs
+        for n in (17, 33):
+            for eps in (0.0, 0.1):
+                u, spec = self._solved_field(n, p, q, eps, a0)
+                reports = touch_test(u, spec.params, 100, epsilon=eps, seed=7)
+                expected = touch_loop(u, spec.params, 100, eps, 7)
+                assert len(reports) == len(expected) == 100
+                for r, (point, slope, curvature, value, scale, passed) in zip(reports, expected):
+                    np.testing.assert_array_equal(r.point, point)
+                    np.testing.assert_array_equal(r.slope, slope)
+                    assert abs(r.curvature - curvature) <= 1e-14 * curvature
+                    assert abs(r.value - value) <= 4.0 * np.finfo(float).eps * scale
+                    assert r.passed == passed
 
 
 @st.composite
@@ -723,12 +817,32 @@ class TestDoubling:
         assert (r.x_index, r.y_index) == (0, 0)
 
     @settings(max_examples=200)
-    @given(doubling_cases())
-    def test_matches_exhaustive_search(self, case):
+    @given(doubling_cases(), st.one_of(st.just(viscosity.BLOCK_PAIRS), st.integers(1, 64)))
+    def test_matches_exhaustive_search(self, case, block_pairs):
+        # blocks of a few pairs split rows and columns; the maximiser and
+        # its tie-break must not depend on where a block ends
         u, v, j, s = case
         ix, iy, psi = doubling_maximizer(u.grid.coords, u.values, v.values, j, s)
-        r = doubling_penalty(u, v, j, s)
+        with mock.patch.object(viscosity, "BLOCK_PAIRS", block_pairs):
+            r = doubling_penalty(u, v, j, s)
         assert (r.x_index, r.y_index) == (ix, iy)
+        assert abs(r.psi_max - psi) <= 1e-12 * (1.0 + abs(psi))
+
+    def test_long_1d_row_memory_is_bounded(self):
+        # 2049 nodes in one row: the whole pair matrix would be 33.6 MB,
+        # and a few of them were alive at once (134 MB peak)
+        g = Grid((2049,))
+        rng = np.random.default_rng(1)
+        u, v = NodalField(g, rng.normal(size=2049)), NodalField(g, rng.normal(size=2049))
+        tracemalloc.start()
+        try:
+            r = doubling_penalty(u, v, 1.0, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        d = abs(g.coords[r.x_index, 0] - g.coords[r.y_index, 0])
+        psi = u.values[r.x_index] - v.values[r.y_index] - (1.0 / 2.5) * d ** 2.5
         assert abs(r.psi_max - psi) <= 1e-12 * (1.0 + abs(psi))
 
     def test_tie_across_row_offsets(self):
