@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     SingularJacobian,
     ValidationError,
-    ZeroGradient,
 )
 from .grids import (
     BoundaryData,
@@ -79,7 +78,6 @@ from .viscosity import (
     nondiv_eval,
     solve_viscosity,
     touch_test,
-    touching_quadratic,
 )
 from .studies import (
     StudyTable,

@@ -78,9 +78,6 @@ _COMMANDS = (
     "study:obstacle-approximation",
 )
 
-_STUDY_KEYS = ("refinements", "trials", "cutoffs", "levels", "epsilons", "target")
-
-
 class RunConfig:
     """Validated run description built from a config file."""
 
@@ -255,7 +252,6 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
     q = reader.number("problem", "q", required=True)
     alpha = reader.number("problem", "alpha", default=1.0)
     epsilon = reader.number("problem", "epsilon", default=0.0)
-    delta = reader.number("problem", "delta", default=0.0)
     strict = reader.boolean("problem", "strict", default=False)
 
     grid = None
@@ -304,7 +300,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
                     )
         if coeff is not None:
             try:
-                params = DoublePhaseParams(p, q, alpha=alpha, coeff=coeff, delta=delta)
+                params = DoublePhaseParams(p, q, alpha=alpha, coeff=coeff)
             except ValueError as exc:
                 reader.diags.append((reader.line("problem", "p"), "p/q", str(exc)))
 
@@ -334,8 +330,11 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
     dir_cfg = reader.get("output", "directory", default=".")
     out_dir = out_override if out_override is not None else dir_cfg
     prefix = reader.get("output", "prefix", default="run")
-    seed_cfg = reader.number("run", "seed", default=0.0)
-    seed = int(seed_override if seed_override is not None else seed_cfg)
+    seed = reader.count("run", "seed", default=0, least=0)
+    if seed_override is not None:
+        if seed_override < 0:
+            reader.diags.append((0, "seed", f"need one integer >= 0, got {seed_override!r}"))
+        seed = seed_override
 
     study_options = {
         "refinements": reader.count("study", "refinements", default=3, least=2),

@@ -69,10 +69,6 @@ class InvalidExponent(DoublePhaseError):
     """Penalty exponent violates its lower bound."""
 
 
-class ZeroGradient(DoublePhaseError):
-    """Gradient norm vanished where a ratio was requested."""
-
-
 class ParseError(DoublePhaseError):
     """Configuration text failed to parse.
 

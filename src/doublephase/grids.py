@@ -1,8 +1,12 @@
 """Structured 1D/2D grids, piecewise-linear nodal fields, and field files.
 
 Nodes are ordered row-major with x fastest: node (ix, iy) has flat index
-``iy * nx + ix``. Every 2D cell is split into two triangles along the
-lower-left to upper-right diagonal, so assembly is deterministic and
+``iy * nx + ix``. :class:`Grid` derives the node layout from its shape
+alone, with no branch on the dimension: the coordinates, the boundary
+and interior-depth masks (one slice per axis of the (ny, nx) node
+array) and ``strides``, the flat index step per axis through which every
+stencil offset is taken. Every 2D cell is split into two triangles along
+the lower-left to upper-right diagonal, so assembly is deterministic and
 orientation-consistent. :data:`ELEMENT_TYPES` describes the one segment
 (1D) or the two triangles (2D) of a cell once, with constant P1
 gradients; :class:`Grid` turns it into one slice of the nodal values per
@@ -80,6 +84,8 @@ class Grid:
         self.upper = lower + extent
         self.spacing = extent / (np.array(shape, dtype=float) - 1.0)
         self.n_nodes = int(np.prod(shape))
+        # flat index step per axis: node (ix, iy) is ix + iy nx
+        self.strides = np.cumprod((1,) + shape[:-1])
         self.element_types = ELEMENT_TYPES[dim]
         # cells per axis of the nodal array, (ny - 1, nx - 1) in 2D
         self.cells = tuple(s - 1 for s in shape[::-1])
@@ -96,20 +102,10 @@ class Grid:
         # every element's measure is a product of one node step per axis
         if not np.prod([np.min(np.diff(a)) for a in axes]) > 0.0:
             raise ValueError("degenerate element")
-        if self.dim == 1:
-            self.coords = axes[0][:, None]
-            boundary = np.zeros(self.n_nodes, dtype=bool)
-            boundary[0] = boundary[-1] = True
-        else:
-            nx, ny = self.shape
-            X, Y = np.meshgrid(axes[0], axes[1], indexing="xy")
-            self.coords = np.column_stack([X.ravel(), Y.ravel()])
-            ix = np.arange(self.n_nodes) % nx
-            iy = np.arange(self.n_nodes) // nx
-            boundary = (ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1)
-        self.boundary_mask = boundary
-        self.boundary_idx = np.flatnonzero(boundary)
-        self.interior_idx = np.flatnonzero(~boundary)
+        self.coords = np.stack(np.meshgrid(*axes), -1).reshape(-1, self.dim)
+        self.boundary_mask = ~self.interior_depth_mask(1)
+        self.boundary_idx = np.flatnonzero(self.boundary_mask)
+        self.interior_idx = np.flatnonzero(~self.boundary_mask)
 
     @cached_property
     def element_cuts(self):
@@ -155,18 +151,11 @@ class Grid:
         return np.full(self.n_elements, self.element_measure)
 
     def interior_depth_mask(self, depth):
-        """Nodes at least ``depth`` layers away from the boundary."""
-        idx = np.arange(self.n_nodes)
-        if self.dim == 1:
-            n = self.shape[0]
-            return (idx >= depth) & (idx <= n - 1 - depth)
-        nx, ny = self.shape
-        ix = idx % nx
-        iy = idx // nx
-        return (
-            (ix >= depth) & (ix <= nx - 1 - depth)
-            & (iy >= depth) & (iy <= ny - 1 - depth)
-        )
+        """Nodes at least ``depth`` layers away from the boundary (every
+        node for a negative ``depth``)."""
+        mask = np.zeros(self.shape[::-1], dtype=bool)
+        mask[tuple(slice(max(depth, 0), n - depth) for n in self.shape[::-1])] = True
+        return mask.reshape(-1)
 
     def interior_element_mask(self, depth):
         """Elements whose vertices all satisfy :meth:`interior_depth_mask`."""
@@ -219,7 +208,7 @@ class InteriorPattern:
     def __init__(self, grid, offsets, symmetric):
         offsets = np.asarray(offsets, dtype=int).reshape(-1, grid.dim)
         inner = np.array(grid.shape) - 2  # interior nodes per axis
-        self.steps = offsets @ np.cumprod((1,) + grid.shape[:-1])
+        self.steps = offsets @ grid.strides
         shift = offsets @ np.cumprod((1,) + tuple(inner[:-1]))
         if symmetric and np.any(shift > 0):
             raise ValueError("a symmetric pattern takes the offsets of the lower triangle")
@@ -324,10 +313,9 @@ def poisson_start(grid, g_values, f):
     interior = grid.interior_idx
     u = np.zeros(grid.n_nodes)
     u[grid.boundary_idx] = g_values
-    strides = np.cumprod((1,) + grid.shape[:-1])
     inv_h2 = grid.spacing ** -2.0
     # u is 0 at the interior nodes, so the neighbor sums are the boundary terms
-    rhs = f + sum(w * (u[interior - s] + u[interior + s]) for s, w in zip(strides, inv_h2))
+    rhs = f + sum(w * (u[interior - s] + u[interior + s]) for s, w in zip(grid.strides, inv_h2))
     inner = tuple(s - 2 for s in grid.shape[::-1])  # interior array, (my, mx) in 2D
     x = rhs.reshape(inner)
     eig = 0.0

@@ -129,7 +129,7 @@ class _Assembler:
         matrices (types, pairs, dim^2) taking those components to the
         entries of each type's vertex pairs, and per type each pair's row
         vertex (the later node) and the index of its offset."""
-        strides = np.cumprod((1,) + self.grid.shape[:-1]).tolist()
+        strides = self.grid.strides.tolist()
         inv_h = 1.0 / self.grid.spacing
         offsets, weights, targets = [], [], []
         for verts, edges in self.grid.element_types:
@@ -395,6 +395,8 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL):
     grid = spec.grid
     psi = spec.obstacle.values
     g_values = spec.dirichlet_values()
+    # the spec checked this at construction, but its obstacle and boundary
+    # values are arrays that the caller can still change in place
     if np.any(psi[grid.boundary_idx] > g_values + 1e-12):
         raise InfeasibleObstacle("obstacle exceeds the boundary data on the boundary")
 

@@ -49,7 +49,6 @@ __all__ = [
     "TouchReport",
     "Quadratic",
     "TouchingQuadratic",
-    "touching_quadratic",
     "nondiv_eval",
     "consistency_check",
     "solve_viscosity",
@@ -139,9 +138,6 @@ class TouchingQuadratic(Quadratic):
         self.slope = b = np.asarray(b, dtype=float)
         self.curvature = k = float(curvature)
         super().__init__(u0 - b @ x0 - 0.5 * k * (x0 @ x0), b + k * x0, -k * np.eye(len(x0)))
-
-
-touching_quadratic = TouchingQuadratic
 
 
 def nondiv_eval(params, jet):
@@ -243,26 +239,31 @@ class _Local(NamedTuple):
     first: object
 
 
+def _offsets(dim):
+    """The 3^dim node offsets (dx[, dy]) of a node's neighbourhood, x
+    fastest: W C E in 1D, SW S SE W C E NW N NE in 2D."""
+    return [o[::-1] for o in itertools.product((-1, 0, 1), repeat=dim)]
+
+
 class _Stencil:
     """Interior 3-point (1D) or 9-point (2D) pattern of the scheme on one
     grid, built once.
 
-    Row k of ``nbr`` holds the neighbor at offset k of every interior node;
-    2D offsets run SW S SE W C E NW N NE. A weight array W with one row per
-    offset is one Newton matrix: the pattern writes row k into band row k
-    and drops the weights of (fixed) boundary neighbors. It is not
-    symmetric, so the pattern stores the general band (half-bandwidth
-    nx - 1 in 2D) and solves it by banded LU with partial pivoting.
+    Row k of ``nbr`` holds the neighbor at offset k of :func:`_offsets`
+    of every interior node. A weight array W with one row per offset is
+    one Newton matrix: the pattern writes row k into band row k and drops
+    the weights of (fixed) boundary neighbors. It is not symmetric, so the
+    pattern stores the general band (half-bandwidth nx - 1 in 2D) and
+    solves it by banded LU with partial pivoting.
     """
 
     def __init__(self, grid):
         self.grid = grid
-        if grid.dim == 1:
-            offsets = [(-1,), (0,), (1,)]
-            self.minus, self.centre, self.plus = [0], 1, [2]
-        else:
-            offsets = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-            self.minus, self.centre, self.plus = [3, 1], 4, [5, 7]
+        offsets = _offsets(grid.dim)
+        unit = np.eye(grid.dim, dtype=int)
+        # rows of the centre and of its +-1 neighbours along each axis
+        self.centre = offsets.index((0,) * grid.dim)
+        self.plus, self.minus = ([offsets.index(tuple(s * e)) for e in unit] for s in (1, -1))
         self.h = np.asarray(grid.spacing, dtype=float)[:, None]
         self.h2 = self.h ** 2
         self.hxy = float(np.prod(grid.spacing))
@@ -499,14 +500,8 @@ def local_equation(field, params, node, epsilon=0.0, dv=None):
 
 
 def _neighbor_indices(grid, node):
-    if grid.dim == 1:
-        return [node - 1, node + 1]
-    nx = grid.shape[0]
-    return [
-        node - nx - 1, node - nx, node - nx + 1,
-        node - 1, node + 1,
-        node + nx - 1, node + nx, node + nx + 1,
-    ]
+    """The nodes at index distance 1 from ``node``, in :func:`_offsets` order."""
+    return node + np.array([o for o in _offsets(grid.dim) if any(o)]) @ grid.strides
 
 
 def generate_touching_quadratics(field, x0, count, rng=None):
@@ -530,27 +525,14 @@ def generate_touching_quadratics(field, x0, count, rng=None):
     scale = 1.0 + float(np.max(np.abs(u)))
     margin = 1e-12 * scale
 
-    if grid.dim == 1:
-        h = grid.spacing[0]
-        cands = np.array([
-            [(u[x0 + 1] - u0) / h],
-            [(u0 - u[x0 - 1]) / h],
-            [(u[x0 + 1] - u[x0 - 1]) / (2 * h)],
-        ])
-    else:
-        nx = grid.shape[0]
-        hx, hy = grid.spacing
-        dxs = [
-            (u[x0 + 1] - u0) / hx,
-            (u0 - u[x0 - 1]) / hx,
-            (u[x0 + 1] - u[x0 - 1]) / (2 * hx),
-        ]
-        dys = [
-            (u[x0 + nx] - u0) / hy,
-            (u0 - u[x0 - nx]) / hy,
-            (u[x0 + nx] - u[x0 - nx]) / (2 * hy),
-        ]
-        cands = np.array([[dx, dy] for dx in dxs for dy in dys])
+    # per axis the forward, backward and centered quotients; every
+    # combination of one per axis, x outermost (the top-ups below pick
+    # candidates by position)
+    quotients = [
+        ((u[x0 + s] - u0) / h, (u0 - u[x0 - s]) / h, (u[x0 + s] - u[x0 - s]) / (2 * h))
+        for s, h in zip(grid.strides, grid.spacing)
+    ]
+    cands = np.array(list(itertools.product(*quotients)))
 
     # top-up perturbations stay on the scale of the local difference
     # quotients, so a flat node still yields no admissible slope

@@ -251,6 +251,30 @@ class TestMain:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"{key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed, override", [
+        ("nan", None), ("inf", None), ("-3", None), ("1.5", None), ("7.0", None), ("7", -3),
+    ])
+    def test_bad_seed_exit_2_naming_the_key(self, tmp_path, capsys, seed, override):
+        # a seed is one integer >= 0, in the config and on the command line
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(LINEAR_1D.replace("seed = 7", f"seed = {seed}").format(out=tmp_path))
+        argv = ["solve-var", "--config", str(cfg)]
+        if override is not None:
+            argv += ["--seed", str(override)]
+        assert main(argv) == 2
+        assert "seed: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("bench_*"))
+
+    def test_seed_override_replaces_the_config_seed(self):
+        assert parse_config(LINEAR_1D.format(out="."), command="solve-var", seed_override=0).seed == 0
+
+    def test_delta_key_exit_2(self, tmp_path, capsys):
+        # the solvers take delta from their own schedule, so the key is unknown
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text(LINEAR_1D.replace("epsilon = 0.0", "epsilon = 0.0\ndelta = 0.5").format(out=tmp_path))
+        assert main(["solve-var", "--config", str(cfg)]) == 2
+        assert "delta: unknown key in [problem]" in capsys.readouterr().err
+
     def test_nonconstant_coefficient_study_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "nc.cfg"
         cfg.write_text(

@@ -566,6 +566,22 @@ class TestSolveObstacle:
                 boundary=BoundaryData.constant(0.0), obstacle=psi,
             )
 
+    @pytest.mark.parametrize("changed", ["obstacle", "boundary"])
+    def test_infeasible_obstacle_after_construction(self, changed):
+        # the spec holds the caller's arrays, which can change after the
+        # spec's own check; the solve must not return u < psi on the boundary
+        g = Grid((17,))
+        psi = NodalField(g, np.full(g.n_nodes, -1.0))
+        gb = np.zeros(len(g.boundary_idx))
+        spec = ProblemSpec(grid=g, params=const_params(2.0, 2.5, a0=1.0),
+                           boundary=BoundaryData.from_values(gb), obstacle=psi)
+        if changed == "obstacle":
+            psi.values[:] = 0.5
+        else:
+            gb[:] = -2.0
+        with pytest.raises(InfeasibleObstacle):
+            solve_obstacle(spec)
+
     def test_obstacle_monotonicity_1d(self):
         # enlarging the obstacle never decreases the solution
         g = Grid((65,))

@@ -19,6 +19,7 @@ from doublephase.errors import (
     GridMismatch,
     InvalidExponent,
     NonConvergence,
+    NoTouchFound,
     ValidationError,
 )
 from doublephase.grids import BoundaryData, Grid, InteriorPattern, NodalField, interpolate
@@ -29,6 +30,7 @@ from doublephase import viscosity
 from doublephase.viscosity import (
     Quadratic,
     SecondOrderJet,
+    TouchingQuadratic,
     _Stencil,
     consistency_check,
     doubling_penalty,
@@ -37,7 +39,6 @@ from doublephase.viscosity import (
     nondiv_eval,
     solve_viscosity,
     touch_test,
-    touching_quadratic,
 )
 
 
@@ -705,7 +706,7 @@ class TestTouching:
         u = interpolate(g, lambda pts: pts[:, 0] ** 2)
         K = 2.0
         monkeypatch.setattr(viscosity, "generate_touching_quadratics",
-                            lambda field, node, take, rng: [touching_quadratic(
+                            lambda field, node, take, rng: [TouchingQuadratic(
                                 g.coords[node], u.values[node], [K * 0.25], K)])
         pr = const_params(1.5, 1.8, a0=0.7)
         (r,) = touch_test(u, pr, 1)
@@ -727,6 +728,81 @@ class TestTouching:
                     assert abs(r.curvature - curvature) <= 1e-14 * curvature
                     assert abs(r.value - value) <= 4.0 * np.finfo(float).eps * scale
                     assert r.passed == passed
+
+
+@st.composite
+def layout_cases(draw):
+    """A random field on a 1D, square or non-square 2D grid with 3-9 nodes
+    per axis, a shifted lower corner and extents 0.25-4."""
+    nx = draw(st.integers(3, 9))
+    shape = draw(st.sampled_from([(nx,), (nx, nx), (nx, draw(st.integers(3, 9)))]))
+    grid = Grid(shape, lower=[draw(st.floats(-2.0, 2.0)) for _ in shape],
+                extent=[draw(st.floats(0.25, 4.0)) for _ in shape])
+    return NodalField(grid, draw(hnp.arrays(float, grid.n_nodes, elements=st.floats(-1.0, 1.0))))
+
+
+class TestNodeLayout:
+    """The node layout against per-node integer index arithmetic: node k
+    sits at ix = k % nx and, in 2D, iy = k // nx."""
+
+    @staticmethod
+    def _index(grid, k):
+        nx = grid.shape[0]
+        return (k % nx,) if grid.dim == 1 else (k % nx, k // nx)
+
+    @staticmethod
+    def _flat(grid, idx):
+        return idx[0] if grid.dim == 1 else idx[0] + idx[1] * grid.shape[0]
+
+    @settings(max_examples=100)
+    @given(layout_cases())
+    def test_layout_matches_index_arithmetic(self, field):
+        grid, u = field.grid, field.values
+        at = [self._index(grid, k) for k in range(grid.n_nodes)]
+        axes = [np.linspace(lo, hi, n) for lo, hi, n in zip(grid.lower, grid.upper, grid.shape)]
+        for k, idx in enumerate(at):
+            assert grid.coords[k].tolist() == [a[i] for a, i in zip(axes, idx)]
+        boundary = [any(i in (0, n - 1) for i, n in zip(idx, grid.shape)) for idx in at]
+        assert grid.boundary_mask.tolist() == boundary
+        assert grid.interior_idx.tolist() == [k for k, b in enumerate(boundary) if not b]
+        assert grid.boundary_idx.tolist() == [k for k, b in enumerate(boundary) if b]
+        # a negative depth keeps every node
+        for depth in range(-1, max(grid.shape) + 1):
+            expected = [all(depth <= i <= n - 1 - depth for i, n in zip(idx, grid.shape)) for idx in at]
+            assert grid.interior_depth_mask(depth).tolist() == expected
+
+        stencil = _Stencil(grid)
+        for col, k in enumerate(grid.interior_idx.tolist()):
+            idx = at[k]
+            near = [j for j in range(grid.n_nodes)
+                    if j != k and max(abs(a - b) for a, b in zip(at[j], idx)) <= 1]
+            assert viscosity._neighbor_indices(grid, k).tolist() == near
+            assert sorted(stencil.nbr[:, col].tolist()) == sorted(near + [k])
+            assert stencil.nbr[stencil.centre, col] == k
+            for axis in range(grid.dim):
+                step = [int(a == axis) for a in range(grid.dim)]
+                assert stencil.nbr[stencil.plus[axis], col] == self._flat(grid, [i + s for i, s in zip(idx, step)])
+                assert stencil.nbr[stencil.minus[axis], col] == self._flat(grid, [i - s for i, s in zip(idx, step)])
+
+            # one-sided and centered quotients per axis, dx outer and dy inner
+            quotients = []
+            for axis, h in enumerate(grid.spacing):
+                fwd = self._flat(grid, [i + (a == axis) for a, i in enumerate(idx)])
+                bwd = self._flat(grid, [i - (a == axis) for a, i in enumerate(idx)])
+                quotients.append([(u[fwd] - u[k]) / h, (u[k] - u[bwd]) / h, (u[fwd] - u[bwd]) / (2 * h)])
+            if grid.dim == 1:
+                cands = [[d] for d in quotients[0]]
+            else:
+                cands = [[dx, dy] for dx in quotients[0] for dy in quotients[1]]
+            # the kept slopes lead with the nonzero candidates, in order
+            floor = 1e-13 * (1.0 + max(abs(c) for row in cands for c in row))
+            kept = [c for c in cands if np.linalg.norm(c) > floor]
+            try:
+                quads = generate_touching_quadratics(field, k, len(cands), rng=np.random.default_rng(0))
+            except NoTouchFound:
+                assert not kept
+                continue
+            assert [q.slope.tolist() for q in quads[:len(kept)]] == kept
 
 
 @st.composite
