@@ -1,8 +1,8 @@
 """Numerical laboratory for the double-phase elliptic equation.
 
 Solves -div(|Du|^(p-2) Du + a(x) |Du|^(q-2) Du) = eps two ways — by
-energy minimization over P1 fields and by a monotone finite-difference
-scheme for the expanded non-divergence operator — and verifies the
+energy minimization over P1 fields and by a finite-difference scheme
+for the expanded non-divergence operator — and verifies the
 structural facts tying the two together: solver equivalence, comparison
 principles, Caccioppoli bounds, obstacle approximation monotonicity,
 and regularization convergence.

@@ -244,9 +244,6 @@ class InteriorPattern:
             band[self.diag_row, active] = 1.0
         return band
 
-    def diagonal(self, band):
-        return band[self.diag_row]
-
     def factor(self, band, state):
         """Factor of the matrix in ``band``, computed in place: banded
         Cholesky (symmetric) or banded LU with partial pivoting (general),

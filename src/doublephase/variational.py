@@ -6,10 +6,11 @@ The discrete problem minimizes
 
 over P1 fields with Dirichlet data, where m(Du) = sqrt(|Du|^2 + delta^2)
 smooths the degenerate/singular modulus inside Newton only; reported
-energies use delta = 0. Newton runs at delta = 1e-8; only a loop that
-fails there restarts and walks delta = 1e-2, 1e-4, 1e-6 down to it. The
-obstacle variant is the same Newton loop as a projected Newton method
-and exposes the complementarity structure.
+energies use delta = 0. Both problems run one projected Newton loop
+over u >= psi, and the Dirichlet problem is the obstacle problem with
+psi = -inf. Newton runs at delta = 1e-8; only a loop that fails there
+restarts and walks delta = 1e-2, 1e-4, 1e-6 down to it. The obstacle
+solve exposes the complementarity structure.
 """
 
 from dataclasses import dataclass, replace
@@ -81,13 +82,16 @@ class ProblemSpec:
 
 @dataclass
 class SolveReport:
+    """What a solve achieved. ``energy`` is the variational route's
+    discrete energy at delta = 0; viscosity reports carry NaN there."""
+
     converged: bool
     iterations: int
     residual_norm: float
     energy: float
     delta_schedule: tuple
     residual_history: tuple = ()
-    energy_history: tuple = ()  # per kept Newton step at the final delta
+    energy_history: tuple = ()  # variational: per kept Newton step at the final delta
     active_set_size: int = 0  # obstacle: interior nodes with u <= psi at the end
     method: str = "variational"
     notes: str = ""
@@ -187,7 +191,7 @@ class _Assembler:
             r[tail] -= flux[i, t]
         return r.reshape(-1) - self.epsilon * self.load
 
-    def jacobian(self, values, delta, active=None):
+    def jacobian(self, values, delta, active):
         """Newton matrix over the interior nodes, in the band storage of
         :attr:`pattern`: each element's tensor T = |e| (S I + Gamma/m^2 G G^T)
         goes straight into one coupling array per band offset. Interior
@@ -208,9 +212,7 @@ class _Assembler:
             for (row, off), entry in zip(pairs, entries):
                 A[off][cuts[row]] += entry.reshape(s1.shape[1:])
         inner = (slice(None),) + (slice(1, -1),) * self.grid.dim
-        return self.pattern.fill(
-            A[inner].reshape(len(offsets), -1), None if active is None else active[self.grid.interior_idx]
-        )
+        return self.pattern.fill(A[inner].reshape(len(offsets), -1), active[self.grid.interior_idx])
 
 
 def energy(field, spec, delta=0.0):
@@ -226,8 +228,7 @@ def residual(field, spec, delta=0.0):
     ordered like ``spec.grid.interior_idx``.
     """
     _check_field(field, spec)
-    asm = _Assembler(spec)
-    return asm.residual_full(field.values, delta)[spec.grid.interior_idx]
+    return _Assembler(spec).residual_full(field.values, delta)[spec.grid.interior_idx]
 
 
 def _check_field(field, spec):
@@ -247,8 +248,8 @@ def _free_residual(asm, u, delta, psi):
     and r > 0), the free nodes' positions in ``interior_idx``, max free |r|."""
     r = asm.residual_full(u, delta)
     interior = asm.grid.interior_idx
-    active = None if psi is None else (u <= psi) & (r > 0.0)
-    keep = slice(None) if psi is None else np.flatnonzero(~active[interior])
+    active = (u <= psi) & (r > 0.0)
+    keep = np.flatnonzero(~active[interior])
     return r, active, keep, float(np.max(np.abs(r[interior[keep]]), initial=0.0))
 
 
@@ -260,26 +261,23 @@ def _newton_step(asm, lu, u, r, keep):
     return asm.pattern.solve(lu, rhs, u)[keep]
 
 
-def _newton(asm, u, delta, tol, history, psi=None, energies=None):
-    """Damped Newton on the energy at regularisation ``delta``.
+def _newton(asm, u, delta, tol, psi, history, energies):
+    """Projected damped Newton on the energy at regularisation ``delta``.
 
-    With an obstacle it is a projected Newton method: each step holds the
-    contact set fixed as identity rows and projects every Armijo trial
-    onto u >= psi, so nodes join and leave the contact set at every step.
-    It stops at a max free residual <= ``tol`` (<= ``ACCEPT_TOL`` if the
-    line search stalls or ``NEWTON_CAP`` steps are taken). If it took a
-    step, one more full step follows, kept only if it lowers that residual:
-    the last Armijo step often stops one quadratic step short of rounding
-    level. That closing step is a chord (simplified Newton) step: it
-    solves with the factor of the last Newton matrix the loop built, at an
-    earlier iterate and contact set, which this close to the solution
-    serves as well as a new one. Appends the residual of every kept
-    iterate to ``history`` and the energy after every kept step to
-    ``energies``; returns (u, steps, failure), ``failure`` None or why the
-    loop stopped short.
+    Each step holds the contact set fixed as identity rows and projects
+    every Armijo trial onto u >= psi, so nodes join and leave the contact
+    set at every step (psi = -inf: plain damped Newton). It stops at a max
+    free residual <= ``tol`` (<= ``ACCEPT_TOL`` if the line search stalls
+    or ``NEWTON_CAP`` steps are taken). If it took a step, a closing chord
+    step with the loop's last factor follows, kept only if it lowers that
+    residual: the last Armijo step often stops one quadratic step short of
+    rounding level, and this close to the solution the matrix of an earlier
+    iterate and contact set serves as well as a new one. Appends the
+    residual of every kept iterate to ``history`` and the energy after
+    every kept step to ``energies``; returns (u, steps, r, failure): ``r``
+    the residual at u, ``failure`` None or why the loop stopped short.
     """
     interior = asm.grid.interior_idx
-    lo = np.full_like(u, -np.inf) if psi is None else psi
     r, active, keep, rn = _free_residual(asm, u, delta, psi)
     history.append(rn)
     steps, e0, failure = 0, None, None  # e0: the energy at u, once known
@@ -297,56 +295,79 @@ def _newton(asm, u, delta, tol, history, psi=None, energies=None):
         # Armijo backtracking along the projected path; skip the test
         # where rounding noise wins
         tau, e1, trial = 1.0, None, u.copy()
-        trial[free] = np.maximum(u[free] + d, lo[free])
+        trial[free] = np.maximum(u[free] + d, psi[free])
         if abs(slope) > 1e-13 * (1.0 + abs(e0)):
             for _bt in range(60):
                 e1 = asm.energy(trial, delta)
                 if e1 <= e0 + 1e-4 * tau * slope:
                     break
                 tau *= 0.5
-                trial[free] = np.maximum(u[free] + tau * d, lo[free])
+                trial[free] = np.maximum(u[free] + tau * d, psi[free])
             else:
                 failure = f"line search stalled at residual {rn:.3e}"
                 break
         u, e0, steps = trial, e1, steps + 1
-        if energies is not None:
-            e0 = asm.energy(u, delta) if e0 is None else e0
-            energies.append(e0)
+        e0 = asm.energy(u, delta) if e0 is None else e0
+        energies.append(e0)
         r, active, keep, rn = _free_residual(asm, u, delta, psi)
         history.append(rn)
     if failure is not None and rn > ACCEPT_TOL:
-        return u, steps, f"{failure} (delta={delta:g})"
+        return u, steps, r, f"{failure} (delta={delta:g})"
     if steps and rn > 0.0:
         free, trial = interior[keep], u.copy()
-        trial[free] = np.maximum(u[free] + _newton_step(asm, lu, u, r, keep), lo[free])
-        rn_trial = _free_residual(asm, trial, delta, psi)[3]
+        trial[free] = np.maximum(u[free] + _newton_step(asm, lu, u, r, keep), psi[free])
+        r_trial, _, _, rn_trial = _free_residual(asm, trial, delta, psi)
         if rn_trial < rn:
-            u, steps = trial, steps + 1
+            u, r, steps = trial, r_trial, steps + 1
             history.append(rn_trial)
-            if energies is not None:
-                energies.append(asm.energy(u, delta))
-    return u, steps, None
+            energies.append(asm.energy(u, delta))
+    return u, steps, r, None
 
 
-def _minimize(asm, start, tol, psi=None, energies=None):
-    """Newton from ``start`` at the delta of ``DELTA_SCHEDULE``; if that
-    fails, restart from ``start`` and walk ``RESTART_DELTAS`` down to it,
-    as the viscosity route walks its gradient floors. Returns (u, steps,
-    deltas visited, residual history); ``energies`` keeps the last delta's."""
-    history = []
-    deltas = list(DELTA_SCHEDULE)
-    u, steps, failure = _newton(asm, start, DELTA_SCHEDULE[-1], tol, history, psi, energies)
+def _solve(asm, g_values, psi, newton_tol):
+    """Minimize the energy over u >= psi with Dirichlet data ``g_values``
+    (the Dirichlet problem is psi = -inf) by projected Newton from the warm
+    start lifted onto psi, at the delta of ``DELTA_SCHEDULE``. If that loop
+    fails, restart from the same start and walk ``RESTART_DELTAS`` down to
+    it, as the viscosity route walks its gradient floors. Returns (field,
+    report); raises :class:`NonConvergence` with the field and a failed
+    report when a restarted level fails or the contact set is not
+    complementarity-clean.
+    """
+    grid = asm.grid
+    interior = grid.interior_idx
+    start = poisson_start(grid, g_values, asm.epsilon)
+    start[interior] = np.maximum(start[interior], psi[interior])
+    history, energies, deltas = [], [], list(DELTA_SCHEDULE)
+    u, steps, r, failure = _newton(asm, start, deltas[-1], newton_tol, psi, history, energies)
     if failure is not None:
         u = start
         for delta in RESTART_DELTAS + DELTA_SCHEDULE:
             deltas.append(delta)
-            if energies is not None:
-                energies.clear()
-            u, more, failure = _newton(asm, u, delta, tol, history, psi, energies)
+            energies.clear()  # the energies of the last level only
+            u, more, r, failure = _newton(asm, u, delta, newton_tol, psi, history, energies)
             steps += more
             if failure is not None:
-                raise NonConvergence(failure, field=NodalField(asm.grid, u.copy()))
-    return u, steps, tuple(deltas), tuple(history)
+                break
+    r = r[interior]
+    contact = u[interior] <= psi[interior]
+    if failure is None and np.any(contact) and float(np.min(r[contact])) < -CONTRACT_TOL:
+        failure = "active set did not settle to a complementarity-clean state"
+    rn = float(np.max(np.abs(r[~contact]), initial=0.0))
+    field = NodalField(grid, u)
+    report = SolveReport(
+        converged=failure is None and rn <= max(newton_tol, ACCEPT_TOL),
+        iterations=steps,
+        residual_norm=rn,
+        energy=asm.energy(u, 0.0),
+        delta_schedule=tuple(deltas),
+        residual_history=tuple(history),
+        energy_history=tuple(energies),
+        active_set_size=int(np.sum(contact)),
+    )
+    if failure is not None:
+        raise NonConvergence(failure, field=field, report=report)
+    return field, report
 
 
 def solve_dirichlet(spec, newton_tol=NEWTON_TOL):
@@ -356,23 +377,8 @@ def solve_dirichlet(spec, newton_tol=NEWTON_TOL):
     if spec.boundary is None:
         raise ValidationError("solve_dirichlet needs boundary data")
     _strict_gate(spec)
-    asm = _Assembler(spec)
-    grid = spec.grid
-    u = poisson_start(grid, spec.boundary.values_on(grid), spec.epsilon)
-    energies = []
-    u, iters, deltas, history = _minimize(asm, u, newton_tol, energies=energies)
-    rn = history[-1]  # max |residual| at u and the final delta
-    field = NodalField(grid, u)
-    report = SolveReport(
-        converged=rn <= max(newton_tol, ACCEPT_TOL),
-        iterations=iters,
-        residual_norm=rn,
-        energy=asm.energy(u, 0.0),
-        delta_schedule=deltas,
-        residual_history=history,
-        energy_history=tuple(energies),
-    )
-    return field, report
+    asm = _Assembler(spec)  # checks the coefficient before the boundary data are read
+    return _solve(asm, spec.boundary.values_on(spec.grid), np.full(spec.grid.n_nodes, -np.inf), newton_tol)
 
 
 def contact_tolerance(psi_values):
@@ -392,38 +398,13 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL):
         raise ValidationError("solve_obstacle needs an obstacle")
     _strict_gate(spec)
     asm = _Assembler(spec)
-    grid = spec.grid
     psi = spec.obstacle.values
     g_values = spec.dirichlet_values()
     # the spec checked this at construction, but its obstacle and boundary
     # values are arrays that the caller can still change in place
-    if np.any(psi[grid.boundary_idx] > g_values + 1e-12):
+    if np.any(psi[spec.grid.boundary_idx] > g_values + 1e-12):
         raise InfeasibleObstacle("obstacle exceeds the boundary data on the boundary")
-
-    u = poisson_start(grid, g_values, spec.epsilon)
-    interior = grid.interior_idx
-    u[interior] = np.maximum(u[interior], psi[interior])
-    u, iters, deltas, history = _minimize(asm, u, newton_tol, psi=psi)
-    r = asm.residual_full(u, deltas[-1])[interior]
-    contact = u[interior] <= psi[interior]
-    if np.any(contact) and float(np.min(r[contact])) < -CONTRACT_TOL:
-        raise NonConvergence(
-            "active set did not settle to a complementarity-clean state",
-            field=NodalField(grid, u.copy()),
-        )
-
-    rn = float(np.max(np.abs(r[~contact]))) if not np.all(contact) else 0.0
-    field = NodalField(grid, u)
-    report = SolveReport(
-        converged=rn <= max(newton_tol, ACCEPT_TOL),
-        iterations=iters,
-        residual_norm=rn,
-        energy=asm.energy(u, 0.0),
-        delta_schedule=deltas,
-        residual_history=history,
-        active_set_size=int(np.sum(contact)),
-    )
-    return field, report
+    return _solve(asm, g_values, psi, newton_tol)
 
 
 def complementarity_summary(field, spec, delta=DELTA_SCHEDULE[-1]):
@@ -434,15 +415,12 @@ def complementarity_summary(field, spec, delta=DELTA_SCHEDULE[-1]):
     """
     if spec.obstacle is None:
         raise ValidationError("complementarity_summary needs an obstacle spec")
-    asm = _Assembler(spec)
-    grid = spec.grid
-    r = asm.residual_full(field.values, delta)
-    tol_c = contact_tolerance(spec.obstacle.values)
-    interior = grid.interior_idx
-    off = interior[field.values[interior] > spec.obstacle.values[interior] + tol_c]
-    on = interior[field.values[interior] <= spec.obstacle.values[interior] + tol_c]
-    max_off = float(np.max(np.abs(r[off]))) if len(off) else 0.0
-    min_on = float(np.min(r[on])) if len(on) else 0.0
+    r = _Assembler(spec).residual_full(field.values, delta)
+    interior = spec.grid.interior_idx
+    psi = spec.obstacle.values
+    on = field.values[interior] <= psi[interior] + contact_tolerance(psi)
+    max_off = float(np.max(np.abs(r[interior[~on]]), initial=0.0))
+    min_on = float(np.min(r[interior[on]])) if np.any(on) else 0.0
     return max_off, min_on
 
 

@@ -7,10 +7,14 @@ The expanded operator is
                    - |eta|^(q-2) eta . grad a(x),          w = eta/|eta|,
 
 which equals -div A(x, Dphi) on smooth phi. The grid solver discretizes
-it monotonically: centered gradients, centered second differences, the
+it with centered gradients, centered second differences, the
 sign-adapted pair of diagonal stencils for the mixed derivative, and a
 gradient floor |eta| -> max(|eta|, h) tying regularization to
-resolution. It solves the scheme F = eps by semismooth Newton: the
+resolution. The scheme is monotone only with its coefficients frozen:
+S, Gamma, the direction w and the first-order term are read from the
+centered gradient, which moves with the axis neighbours, and on rough
+data the scheme can have more than one discrete solution (known defect
+KD-3 in ROADMAP.md). It solves the scheme F = eps by semismooth Newton: the
 Newton matrix is the frozen M-matrix (coefficients, mixed-stencil choice
 and first-order term held at the current field, the matrix of Howard's
 policy iteration) plus the derivative of the coefficients and the
@@ -42,7 +46,7 @@ from .operators import (
     flux_coefficient_derivatives,
     flux_coefficients,
 )
-from .variational import SolveReport, _strict_gate, energy
+from .variational import SolveReport, _strict_gate
 
 __all__ = [
     "SecondOrderJet",
@@ -375,7 +379,7 @@ def _newton(stencil, u, law, dv, eps, tol, max_iter, history):
 
 
 def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_nonconstant=False):
-    """Semismooth Newton on the monotone scheme; (field, report).
+    """Semismooth Newton on the scheme; (field, report).
 
     Each step solves the Newton matrix of R(u) = F(u) - eps (the frozen
     M-matrix plus the derivative through the centered gradient) and takes
@@ -386,7 +390,9 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_noncon
     refinement. If the line search stalls at floor h, the solve restarts
     from the warm start and walks the floors of ``FLOOR_SCHEDULE`` above h,
     then h. ``iterations`` counts every Newton step taken and
-    ``delta_schedule`` lists the floors visited.
+    ``delta_schedule`` lists the floors visited. The scheme is monotone
+    with its coefficients frozen only (see the module docstring), and
+    ``energy`` is NaN: the discrete energy is the variational route's.
     """
     if spec.obstacle is not None:
         raise ValidationError("the viscosity solver has no obstacle support")
@@ -423,7 +429,7 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_noncon
         converged=converged,
         iterations=len(history),
         residual_norm=residual,
-        energy=energy(field, spec, delta=0.0),
+        energy=float("nan"),
         delta_schedule=tuple(floors),
         residual_history=tuple(history),
         method="viscosity",

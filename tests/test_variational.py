@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from doublephase import variational
-from doublephase.errors import InfeasibleObstacle, ValidationError
+from doublephase.errors import InfeasibleObstacle, NonConvergence, ValidationError
 from doublephase.grids import BoundaryData, Grid, InteriorPattern, NodalField, interpolate
 from doublephase.operators import CoefficientField, DoublePhaseParams
 from doublephase.orlicz import gradient_modular
@@ -231,9 +231,10 @@ class TestSlicedAssembly:
         assert abs(asm.energy(values, delta) - e) <= max(1e-13 * scale, tiny)
         r, scale = ref.residual_full(values, delta)
         assert np.max(np.abs(asm.residual_full(values, delta) - r)) <= max(1e-13 * scale, tiny)
-        for mask in (None, active):
+        # the free matrix is the one under an all-false mask
+        for mask, nodal in ((None, np.zeros(grid.n_nodes, dtype=bool)), (active, active)):
             K = ref.jacobian(values, delta, mask)
-            band = dense_from_band(asm.jacobian(values, delta, mask), symmetric=True)
+            band = dense_from_band(asm.jacobian(values, delta, nodal), symmetric=True)
             assert np.max(np.abs(band - K)) <= 1e-13 * np.max(np.abs(K))
 
 
@@ -266,6 +267,38 @@ class TestNewtonLoop:
         assert rep.residual_norm <= min(rep.residual_history[-2:])
         # a true residual of the discrete equation at the solve's delta
         assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
+
+
+@st.composite
+def far_obstacle_cases(draw):
+    """A 1D or 2D grid of 5-17 nodes per axis, an acceptance regime,
+    eps in {0, 1/2} and a seeded trig-series boundary datum."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = Grid(tuple(draw(st.integers(5, 17)) for _ in range(dim)))
+    p, q, a0 = draw(st.sampled_from([(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)]))
+    return ProblemSpec(
+        grid=grid, params=const_params(p, q, a0=a0), epsilon=draw(st.sampled_from([0.0, 0.5])),
+        boundary=BoundaryData.from_callable(trig_series(draw(st.integers(0, 2 ** 32 - 1)), dim)),
+    )
+
+
+class TestOneSolvePath:
+    @settings(max_examples=50)
+    @given(far_obstacle_cases())
+    def test_far_obstacle_solve_is_the_dirichlet_solve(self, spec):
+        # the Dirichlet problem is the obstacle problem with psi = -inf; an
+        # obstacle far below the data never touches, so both solves take
+        # the same steps bit for bit
+        u, rep = solve_dirichlet(spec)
+        low = float(np.min(spec.boundary.values_on(spec.grid))) - 1e3
+        v, rep_obstacle = solve_obstacle(
+            replace(spec, obstacle=NodalField(spec.grid, np.full(spec.grid.n_nodes, low)))
+        )
+        np.testing.assert_array_equal(v.values, u.values)
+        assert rep_obstacle.iterations == rep.iterations
+        assert rep_obstacle.residual_history == rep.residual_history
+        assert rep_obstacle.energy_history == rep.energy_history
+        assert rep_obstacle.active_set_size == 0
 
 
 class TestSolveDirichlet:
@@ -340,7 +373,8 @@ class TestSolveDirichlet:
         assert min(order) >= 1.8
 
     def test_energy_decreases_across_accepted_newton_steps(self):
-        # Armijo contract, checked over the one Newton loop
+        # Armijo contract, checked over the one Newton loop, without and
+        # with an obstacle that is active at the end
         g = Grid((17, 17))
         spec = ProblemSpec(
             grid=g, params=const_params(1.5, 2.6, a0=0.9),
@@ -348,10 +382,15 @@ class TestSolveDirichlet:
                 lambda pts: 0.4 * np.sin(2 * np.pi * pts[:, 0]) + 0.3 * pts[:, 1] ** 2
             ),
         )
+        x, y = g.coords.T
+        bump = NodalField(g, 0.3 - 3.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
         _u, rep = solve_dirichlet(spec)
-        assert len(rep.energy_history) > 1
-        for e1, e2 in zip(rep.energy_history, rep.energy_history[1:]):
-            assert e2 <= e1 + 1e-10 * (1.0 + abs(e1))
+        _u, rep_obstacle = solve_obstacle(replace(spec, obstacle=bump))
+        assert rep_obstacle.active_set_size > 0
+        for report in (rep, rep_obstacle):
+            assert len(report.energy_history) > 1
+            for e1, e2 in zip(report.energy_history, report.energy_history[1:]):
+                assert e2 <= e1 + 1e-10 * (1.0 + abs(e1))
 
     def test_crawling_loop_restarts_down_the_delta_levels(self):
         # a source with equal end values at p < 2: the gradient vanishes at
@@ -371,6 +410,41 @@ class TestSolveDirichlet:
             assert e2 <= e1 + 1e-10 * (1.0 + abs(e1))
         exact = flux_inversion_solution(1.5, 3.0, 0.5, 0.5, 0.5, 0.5, g.coords[:, 0])
         assert np.max(np.abs(u.values - exact)) <= 1e-5
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    def test_failed_restart_carries_its_report(self, monkeypatch, obstacle):
+        # with a cap of one step, the loop at delta = 1e-8 fails and so does
+        # the restart at its first level; the error carries what was done
+        monkeypatch.setattr(variational, "NEWTON_CAP", 1)
+        spec = ProblemSpec(grid=Grid((17, 17)), params=const_params(1.5, 2.6, a0=0.9),
+                           boundary=smooth_bd())
+        if obstacle:
+            spec = replace(spec, obstacle=NodalField(spec.grid, np.full(spec.grid.n_nodes, -0.2)))
+        with pytest.raises(NonConvergence, match="Newton cap reached") as info:
+            (solve_obstacle if obstacle else solve_dirichlet)(spec)
+        rep = info.value.report
+        assert info.value.field is not None
+        assert rep is not None and not rep.converged
+        assert rep.delta_schedule == DELTA_SCHEDULE + (1e-2,)
+        assert rep.iterations == 2
+        # the start and the one step of each level
+        assert len(rep.residual_history) == 4
+        assert len(rep.energy_history) == 1
+        assert rep.residual_norm == rep.residual_history[-1] > variational.ACCEPT_TOL
+
+    def test_unsettled_contact_set_carries_its_report(self, monkeypatch):
+        # a negative bound fails the complementarity check on any contact
+        monkeypatch.setattr(variational, "CONTRACT_TOL", -1.0)
+        g = Grid((17, 17))
+        x, y = g.coords.T
+        spec = ProblemSpec(grid=g, params=const_params(2.5, 3.0), boundary=BoundaryData.constant(0.0),
+                           obstacle=NodalField(g, 0.2 - (x - 0.5) ** 2 - (y - 0.5) ** 2))
+        with pytest.raises(NonConvergence, match="complementarity") as info:
+            solve_obstacle(spec)
+        rep = info.value.report
+        assert rep is not None and not rep.converged
+        assert rep.active_set_size > 0 and rep.iterations > 0
+        assert len(rep.residual_history) == rep.iterations + 1
 
     @pytest.mark.parametrize("p,q,a0", [(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)])
     @pytest.mark.parametrize("eps", [0.0, 1.0])

@@ -617,6 +617,13 @@ class TestSolver:
         assert rep.converged
         assert max(abs(local_equation(u, pr, node, epsilon=1.0)[0]) for node in g.interior_idx) <= 1e-9
 
+    def test_report_energy_is_nan(self):
+        # the discrete energy belongs to the variational route
+        spec = ProblemSpec(grid=Grid((9, 9)), params=const_params(2.5, 3.0, a0=1.0),
+                           boundary=BoundaryData.from_callable(lambda pts: pts[:, 0] * pts[:, 1]))
+        _u, rep = solve_viscosity(spec)
+        assert rep.converged and np.isnan(rep.energy)
+
     def test_nonconvergence_carries_partial_state(self):
         g = Grid((33, 33))
         spec = ProblemSpec(
