@@ -170,6 +170,18 @@ class Grid:
             extent=self.extent.copy(),
         )
 
+    def coarsen(self):
+        """Same domain with half the resolution ((n + 1) / 2 nodes per
+        axis), the inverse of :meth:`refine`: its node (i, j) is node
+        (2 i, 2 j) here. Raises ValueError on an even node count."""
+        if any(s % 2 == 0 for s in self.shape):
+            raise ValueError("only a grid with an odd node count on every axis coarsens")
+        return Grid(
+            tuple((s + 1) // 2 for s in self.shape),
+            lower=self.lower.copy(),
+            extent=self.extent.copy(),
+        )
+
     def compatible_with(self, other):
         return (
             isinstance(other, Grid)

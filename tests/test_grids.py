@@ -63,6 +63,21 @@ class TestGrid:
         np.testing.assert_allclose(r.lower, g.lower)
         np.testing.assert_allclose(r.extent, g.extent)
 
+    @pytest.mark.parametrize("shape", [(5,), (129,), (5, 9), (129, 5), (3, 7)])
+    def test_coarsen_inverts_refine(self, shape):
+        g = Grid(shape, lower=(0.25, -1.0)[:len(shape)], extent=(1.5, 0.3)[:len(shape)])
+        assert g.refine().coarsen().compatible_with(g)
+        if min(shape) > 3:
+            assert g.coarsen().refine().compatible_with(g)
+            # coarse node (i, j) is fine node (2 i, 2 j)
+            fine = g.coords.reshape(g.shape[::-1] + (g.dim,))[(slice(None, None, 2),) * g.dim]
+            np.testing.assert_allclose(g.coarsen().coords, fine.reshape(-1, g.dim), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(4,), (8, 9), (9, 8), (3, 5)])
+    def test_coarsen_needs_odd_counts_of_at_least_5(self, shape):
+        with pytest.raises(ValueError):
+            Grid(shape).coarsen()
+
     @pytest.mark.parametrize("a, b", [
         (Grid((5,), extent=(1e-9,)), Grid((5,), extent=(5e-9,))),
         # disjoint domains, each of extent 1e-6

@@ -242,8 +242,12 @@ class TestSlicedAssembly:
 def dirichlet_cases(draw):
     """(p, q, a) with p in [1.4, 3] (so p < 2 occurs), q in [p, p + 1.5]
     and a in [0, 1]; eps in [0, 1]; a seeded trig-series boundary datum of
-    the comparison study on a 1D grid of 33 nodes or a 9^2 grid."""
-    grid = Grid(draw(st.sampled_from([(33,), (9, 9)])))
+    the comparison study on a 1D grid of 33 nodes, a 9^2 grid or a thin
+    grid with a wide band: an odd 65-129 nodes along x and 5-9 along y, so
+    the loop reuses its factor, and from 129 across starts nested."""
+    across = st.sampled_from([65, 129]) | st.integers(33, 63).map(lambda k: 2 * k + 1)
+    thin = st.tuples(across, st.sampled_from([5, 7, 9]))
+    grid = Grid(draw(st.one_of(st.just((33,)), st.just((9, 9)), thin)))
     p = draw(st.floats(1.4, 3.0))
     q = draw(st.floats(p, p + 1.5))
     return ProblemSpec(
@@ -504,6 +508,77 @@ class TestSolveDirichlet:
         for state, other in zip(factors, solves):
             np.testing.assert_array_equal(state, other)
         assert not np.array_equal(factors[-1], solves[-1])  # a chord step
+
+    @pytest.mark.parametrize("p,q,a0,eps", [(1.5, 1.8, 0.7, 1.0), (2.5, 3.0, 1.0, 0.0)])
+    def test_wide_band_reuse_and_nested_start(self, monkeypatch, p, q, a0, eps):
+        # at 129^2 the loop starts from the 65^2 solve and reuses factors;
+        # with WIDE_BAND above every band it runs the plain loop instead
+        spec = ProblemSpec(grid=Grid((129, 129)), params=const_params(p, q, a0=a0),
+                           boundary=smooth_bd(), epsilon=eps)
+        factors = []
+        factor = InteriorPattern.factor
+
+        def recording_factor(self, band, state):
+            factors.append(self.grid.shape)
+            return factor(self, band, state)
+
+        monkeypatch.setattr(InteriorPattern, "factor", recording_factor)
+        u, rep = solve_dirichlet(spec)
+        nested = factors.count((129, 129))
+        assert (65, 65) in factors
+        assert rep.converged and rep.notes == "warm start: 65x65 solve"
+        assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
+        assert rep.residual_norm <= variational.NEWTON_TOL
+        assert len(rep.residual_history) == rep.iterations + 1
+        factors.clear()
+        monkeypatch.setattr(variational, "WIDE_BAND", 10 ** 9)
+        v, plain = solve_dirichlet(spec)
+        assert set(factors) == {(129, 129)} and plain.notes == ""
+        assert np.max(np.abs(u.values - v.values)) <= 1e-10
+        assert 2 * nested <= len(factors)  # 3 of 8 and 2 of 4 here
+
+    def test_nested_start_takes_explicit_boundary_values(self):
+        g = Grid((129, 9))
+        spec = ProblemSpec(grid=g, params=const_params(1.6, 2.2, a0=0.8), boundary=smooth_bd(), epsilon=0.5)
+        u, rep = solve_dirichlet(spec)
+        assert rep.notes == "warm start: 65x5 solve"
+        explicit = replace(spec, boundary=BoundaryData.from_values(spec.boundary.values_on(g)))
+        v, rep_explicit = solve_dirichlet(explicit)
+        np.testing.assert_array_equal(v.values, u.values)
+        assert rep_explicit == rep
+
+    def test_failed_coarse_solve_falls_back_to_the_poisson_start(self, monkeypatch):
+        g = Grid((129, 9))
+        spec = ProblemSpec(grid=g, params=const_params(2.5, 3.0, a0=1.0), boundary=smooth_bd())
+        inner = variational._dirichlet
+        coarse = []
+
+        def failing(sub, newton_tol):
+            if sub.grid.shape != g.shape:
+                coarse.append(sub.grid.shape)
+                raise NonConvergence("coarse solve failed", field=None, report=None)
+            return inner(sub, newton_tol)
+
+        monkeypatch.setattr(variational, "_dirichlet", failing)
+        u, rep = solve_dirichlet(spec)
+        assert coarse == [(65, 5)]
+        assert rep.converged and rep.notes == ""
+        assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
+        monkeypatch.setattr(variational, "_dirichlet", inner)
+        v, _ = solve_dirichlet(spec)
+        assert np.max(np.abs(u.values - v.values)) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(9,), (5, 9), (9, 5), (17, 17)])
+    def test_prolongation_is_multilinear(self, shape):
+        # coarse nodes keep their values bit for bit, and the interpolant
+        # of a multilinear function (a + b x + c y + d x y) is exact
+        g = Grid(shape, lower=(0.5, -1.0)[:len(shape)], extent=(1.0, 0.75)[:len(shape)])
+        coarse = g.coarsen()
+        values = np.random.default_rng(7).uniform(-1.0, 1.0, coarse.n_nodes)
+        fine = variational._prolong(g, values).reshape(g.shape[::-1])
+        np.testing.assert_array_equal(fine[(slice(None, None, 2),) * g.dim].reshape(-1), values)
+        f = lambda pts: 0.1 + pts @ np.array([0.7, -0.4])[:g.dim] + 0.9 * (g.dim == 2) * np.prod(pts, axis=1)
+        np.testing.assert_allclose(variational._prolong(g, f(coarse.coords)), f(g.coords), rtol=0.0, atol=1e-15)
 
     def test_grid_mismatch_detected(self):
         g = Grid((9, 9))
@@ -799,6 +874,26 @@ class TestApproximationSequence:
             np.testing.assert_array_equal(u_j.values, direct.values)
         for (_, a), (_, b) in zip(pairs, pairs[1:]):
             assert not np.shares_memory(a.values, b.values)
+
+    @pytest.mark.parametrize("p,q,a0", [(2.0, 2.0, 1.0), (2.2, 2.2, 0.0)])
+    def test_residual_norm_is_the_loop_measure(self, monkeypatch, p, q, a0):
+        # the report's residual_norm is the loop's stop measure, max |r| off
+        # {u <= psi, r > 0}: the last entry of its residual history
+        spec = ProblemSpec(grid=Grid((33, 33)), params=const_params(p, q, a0=a0), boundary=smooth_bd())
+        target, _ = solve_dirichlet(spec)
+        reports = []
+
+        def recording(sub):
+            u, rep = solve_obstacle(sub)
+            reports.append(rep)
+            return u, rep
+
+        monkeypatch.setattr(variational, "solve_obstacle", recording)
+        approximation_sequence(spec, target, 5)
+        assert len(reports) >= 4
+        for rep in reports:
+            assert rep.converged
+            assert rep.residual_norm == rep.residual_history[-1]
 
     @settings(max_examples=200)
     @given(envelope_cases())
