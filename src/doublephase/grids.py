@@ -173,9 +173,10 @@ class Grid:
     def coarsen(self):
         """Same domain with half the resolution ((n + 1) / 2 nodes per
         axis), the inverse of :meth:`refine`: its node (i, j) is node
-        (2 i, 2 j) here. Raises ValueError on an even node count."""
-        if any(s % 2 == 0 for s in self.shape):
-            raise ValueError("only a grid with an odd node count on every axis coarsens")
+        (2 i, 2 j) here. Raises ValueError unless every axis has an odd
+        node count of at least 5."""
+        if any(s % 2 == 0 or s < 5 for s in self.shape):
+            raise ValueError("only a grid with an odd node count of at least 5 on every axis coarsens")
         return Grid(
             tuple((s + 1) // 2 for s in self.shape),
             lower=self.lower.copy(),

@@ -19,7 +19,9 @@ factor for chord steps while they contract fast, and a Dirichlet solve
 whose half-resolution grid is wide too (from 129 nodes across) starts
 from the interpolated solution of that coarse problem (nested
 iteration). Narrower bands run the plain loop, and every other solve
-starts from the Poisson warm start.
+starts from the Poisson warm start. So an obstacle that never touches
+gives the Dirichlet solve's steps bit for bit only where that solve
+takes no nested start.
 """
 
 from dataclasses import dataclass, replace
@@ -54,7 +56,8 @@ NEWTON_CAP = 200
 ACCEPT_TOL = 1e-9  # contract bound: a stalled loop may stop here
 CONTRACT_TOL = 1e-8
 # the Newton matrix's half-bandwidth from which a factorization costs more
-# than the chord steps that reuse it (2D grids from 65 nodes across)
+# than the chord steps that reuse it (2D grids from 65 nodes across; at
+# 33 across, reuse measured even)
 WIDE_BAND = 64
 # a full step that cuts the max free residual at least this much keeps its
 # factor for the next step, on a wide band
@@ -408,15 +411,16 @@ def _solve(asm, start, psi, newton_tol, notes=""):
 def solve_dirichlet(spec, newton_tol=NEWTON_TOL):
     """Solve the unconstrained Dirichlet problem; returns (field, report).
 
-    When every axis has an odd node count and the half-resolution grid
-    still has a wide band (2D grids from 129 nodes across), the Newton loop
-    starts from that coarse problem's solution (nested iteration): the
-    coarse problem takes the boundary data at the even-indexed nodes, is
-    solved by these same rules, and its multilinear interpolant, with the
-    boundary data restored, is the start. Elsewhere, or if the coarse
-    solve fails, the loop starts from :func:`grids.poisson_start`. The
-    report's ``iterations`` and ``residual_history`` describe the requested
-    grid only, and its ``notes`` name the coarse solve.
+    When every axis has an odd node count of at least 5 and the
+    half-resolution grid still has a wide band (2D grids from 129 nodes
+    across), the Newton loop starts from that coarse problem's solution
+    (nested iteration): the coarse problem takes the boundary data at the
+    even-indexed nodes, is solved by these same rules, and its
+    multilinear interpolant, with the boundary data restored, is the
+    start. Elsewhere, or if the coarse solve fails, the loop starts from
+    :func:`grids.poisson_start`. The report's ``iterations`` and
+    ``residual_history`` describe the requested grid only, and its
+    ``notes`` name the coarse solve.
     """
     if spec.obstacle is not None:
         raise ValidationError("solve_dirichlet expects a spec without an obstacle")
@@ -434,7 +438,7 @@ def _dirichlet(spec, newton_tol):
     g_values = spec.boundary.values_on(grid)
     start, notes = None, ""
     # coarsening halves a 2D band (nx - 1), and a 1D band (1) is never wide
-    if all(n % 2 for n in grid.shape) and asm.pattern.bw >= 2 * WIDE_BAND:
+    if all(n % 2 and n >= 5 for n in grid.shape) and asm.pattern.bw >= 2 * WIDE_BAND:
         coarse = grid.coarsen()
         nodal = np.zeros(grid.n_nodes)
         nodal[grid.boundary_idx] = g_values

@@ -243,10 +243,11 @@ def dirichlet_cases(draw):
     """(p, q, a) with p in [1.4, 3] (so p < 2 occurs), q in [p, p + 1.5]
     and a in [0, 1]; eps in [0, 1]; a seeded trig-series boundary datum of
     the comparison study on a 1D grid of 33 nodes, a 9^2 grid or a thin
-    grid with a wide band: an odd 65-129 nodes along x and 5-9 along y, so
-    the loop reuses its factor, and from 129 across starts nested."""
+    grid with a wide band: an odd 65-129 nodes along x and 3-9 along y, so
+    the loop reuses its factor, and from 129 across with at least 5 rows
+    starts nested."""
     across = st.sampled_from([65, 129]) | st.integers(33, 63).map(lambda k: 2 * k + 1)
-    thin = st.tuples(across, st.sampled_from([5, 7, 9]))
+    thin = st.tuples(across, st.sampled_from([3, 5, 7, 9]))
     grid = Grid(draw(st.one_of(st.just((33,)), st.just((9, 9)), thin)))
     p = draw(st.floats(1.4, 3.0))
     q = draw(st.floats(p, p + 1.5))
@@ -292,7 +293,8 @@ class TestOneSolvePath:
     def test_far_obstacle_solve_is_the_dirichlet_solve(self, spec):
         # the Dirichlet problem is the obstacle problem with psi = -inf; an
         # obstacle far below the data never touches, so both solves take
-        # the same steps bit for bit
+        # the same steps bit for bit (on these grids, below 129 across, no
+        # Dirichlet solve starts nested)
         u, rep = solve_dirichlet(spec)
         low = float(np.min(spec.boundary.values_on(spec.grid))) - 1e3
         v, rep_obstacle = solve_obstacle(
@@ -580,6 +582,14 @@ class TestSolveDirichlet:
         f = lambda pts: 0.1 + pts @ np.array([0.7, -0.4])[:g.dim] + 0.9 * (g.dim == 2) * np.prod(pts, axis=1)
         np.testing.assert_allclose(variational._prolong(g, f(coarse.coords)), f(g.coords), rtol=0.0, atol=1e-15)
 
+    def test_three_rows_do_not_nest(self):
+        # 129 nodes across has a wide band, but 3 rows do not coarsen
+        spec = ProblemSpec(grid=Grid((129, 3)), params=const_params(1.6, 2.2, a0=0.8),
+                           boundary=smooth_bd(), epsilon=0.5)
+        u, rep = solve_dirichlet(spec)
+        assert rep.converged and rep.notes == ""
+        assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
+
     def test_grid_mismatch_detected(self):
         g = Grid((9, 9))
         other = Grid((11, 11))
@@ -705,6 +715,38 @@ class TestSolveObstacle:
         assert rep.converged
         assert np.min(u.values - psi.values) >= 0.0
         assert 0 < rep.active_set_size < len(g.interior_idx)
+
+    def test_wide_band_obstacle_reuses_factors(self, monkeypatch):
+        # 65 x 5 has a wide band: the loop takes chord steps, refactors
+        # where the contact set moved since the factor, and closes with a
+        # chain of chord steps; with WIDE_BAND above every band it runs the
+        # plain loop to the same field
+        g = Grid((65, 5))
+        x = g.coords
+        psi = 0.8 - ((x[:, 0] - 0.5) ** 2 + 0.2 * (x[:, 1] - 0.5) ** 2) / 0.18
+        psi[g.boundary_idx] = np.minimum(psi[g.boundary_idx], smooth_bd().values_on(g) - 0.01)
+        spec = ProblemSpec(grid=g, params=const_params(2.5, 3.0), boundary=smooth_bd(),
+                           obstacle=NodalField(g, psi))
+        factors = []
+        factor = InteriorPattern.factor
+
+        def counting_factor(self, band, state):
+            factors.append(state)
+            return factor(self, band, state)
+
+        monkeypatch.setattr(InteriorPattern, "factor", counting_factor)
+        u, rep = solve_obstacle(spec)
+        reused = len(factors)
+        assert rep.converged and 0 < rep.active_set_size < len(g.interior_idx)
+        assert np.min(u.values - psi) >= 0.0
+        max_off_contact, min_on_contact = complementarity_summary(u, spec)
+        assert max_off_contact <= 1e-12 and min_on_contact >= 0.0
+        assert rep.residual_norm == rep.residual_history[-1] <= variational.NEWTON_TOL
+        factors.clear()
+        monkeypatch.setattr(variational, "WIDE_BAND", 10 ** 9)
+        v, plain = solve_obstacle(spec)
+        assert plain.converged and reused < len(factors)
+        assert np.max(np.abs(u.values - v.values)) <= 1e-10
 
     def test_infeasible_obstacle(self):
         g = Grid((17,))
