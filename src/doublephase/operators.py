@@ -96,7 +96,11 @@ class CoefficientField:
 @dataclass(frozen=True)
 class DoublePhaseParams:
     """Exponents, Hoelder exponent of the coefficient, coefficient field,
-    and the gradient regularization length used by Newton linearization.
+    and ``delta``, the default gradient regularization length of
+    :func:`a_flux` and :func:`a_flux_jacobian`. Neither solver reads
+    ``delta``: the variational loop regularises at
+    ``variational.DELTA_SCHEDULE`` (``RESTART_DELTAS`` on a restart), and
+    the viscosity loop runs on its own gradient floors.
 
     Invariants: 1 < p <= q < inf, alpha in (0, 1], delta >= 0.
     """
@@ -168,6 +172,21 @@ def _coefficient_rows(params, x, rows):
     return np.broadcast_to(params.coeff.value(np.atleast_2d(np.asarray(x, dtype=float))), (rows,))
 
 
+def flux_phases(p, q, a, m):
+    """The two phases fp = m^(p-2) and fq = a m^(q-2) of the law at moduli m.
+
+    :func:`flux_coefficients` derives S and Gamma from them, and the
+    variational energy density is m^2 (fp/p + fq/q) = m^p/p + a m^q/q.
+    """
+    return m ** (p - 2.0), a * m ** (q - 2.0)
+
+
+def phase_coefficients(p, q, fp, fq):
+    """S = fp + fq and Gamma = (p-2) fp + (q-2) fq from the phases of
+    :func:`flux_phases`."""
+    return fp + fq, (p - 2.0) * fp + (q - 2.0) * fq
+
+
 def flux_coefficients(p, q, a, m):
     """S = m^(p-2) + a m^(q-2) and Gamma = (p-2) m^(p-2) + (q-2) a m^(q-2).
 
@@ -175,9 +194,7 @@ def flux_coefficients(p, q, a, m):
     D_xi A = S I + Gamma w w^T. Both solver routes and the operator
     evaluations take the law from here.
     """
-    fp = m ** (p - 2.0)
-    fq = a * m ** (q - 2.0)
-    return fp + fq, (p - 2.0) * fp + (q - 2.0) * fq
+    return phase_coefficients(p, q, *flux_phases(p, q, a, m))
 
 
 def flux_coefficient_derivatives(p, q, a, m):

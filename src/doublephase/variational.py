@@ -12,6 +12,15 @@ psi = -inf. Newton runs at delta = 1e-8; only a loop that fails there
 restarts and walks delta = 1e-2, 1e-4, 1e-6 down to it. The obstacle
 solve exposes the complementarity structure.
 
+The law is evaluated once per field and delta (``_State``): the P1
+gradients G, m^2 = |G|^2 + delta^2 and the phases m^(p-2) and
+a_e m^(q-2) of :func:`operators.flux_phases`. The energy, the residual
+and the Newton matrix all read that one evaluation, so a Newton step
+evaluates the law once per line-search trial, and the accepted trial's
+evaluation gives the next residual and Newton matrix. The public
+:func:`energy`, :func:`residual` and :func:`complementarity_summary` go
+through the same evaluation.
+
 Where the Newton matrix has a wide band (half-bandwidth >= ``WIDE_BAND``,
 2D grids from 65 nodes across), one banded Cholesky factorization costs
 several Newton steps' worth of other work. There the loop keeps its
@@ -31,7 +40,7 @@ import numpy as np
 
 from .errors import GridMismatch, InfeasibleObstacle, LinearSolveFailure, NonConvergence, ValidationError
 from .grids import BoundaryData, InteriorPattern, NodalField, interpolate, poisson_start
-from .operators import flux_coefficients, validate_exponents
+from .operators import flux_phases, phase_coefficients, validate_exponents
 
 __all__ = [
     "DELTA_SCHEDULE",
@@ -119,7 +128,7 @@ class SolveReport:
 
 
 class _Assembler:
-    """Per-spec data of the discrete energy; all hot loops live here.
+    """Per-spec data of the discrete energy, which :class:`_State` reads.
 
     The nodal values are read as an array over the grid, (ny, nx) in 2D,
     and each element type through the grid's slices (``grid.element_cuts``
@@ -182,64 +191,78 @@ class _Assembler:
         delta > 0, so its lower triangle is stored."""
         return InteriorPattern(self.grid, self.couplings[0], symmetric=True)
 
-    def _gradients(self, values):
-        """P1 gradients G (dim, types, cells) and |G|^2 (types, cells)."""
-        G = self.grid.gradients(values)
-        return G, (G * G).sum(axis=0)
 
-    def energy(self, values, delta):
-        p, q = self.p, self.q
-        m = np.sqrt(self._gradients(values)[1] + delta * delta)
-        e = self.measure * float(np.sum(m ** p / p + self.a_e * m ** q / q))
-        if self.epsilon != 0.0:
-            e -= self.epsilon * float(np.dot(self.load, values))
-        return e
+class _State:
+    """The law at one field, evaluated once: the P1 gradients G (dim,
+    types, cells), m^2 = |G|^2 + delta^2 (types, cells) and the phases
+    fp = m^(p-2) and fq = a_e m^(q-2) of :func:`operators.flux_phases`, set
+    to 0 where m = 0 (there G = 0, so the flux and the energy density
+    vanish, whatever the phases). The energy, the residual and the Newton
+    matrix at the field all read these arrays; ``values`` must not change
+    while the state is in use.
+    """
 
-    def residual_full(self, values, delta):
-        G, g2 = self._gradients(values)
-        m = np.sqrt(g2 + delta * delta)
+    def __init__(self, asm, values, delta):
+        self.asm, self.values = asm, values
+        self.G = asm.grid.gradients(values)
+        self.m2 = (self.G * self.G).sum(axis=0) + delta * delta
+        m = np.sqrt(self.m2)
         pos = m > 0.0
         if np.all(pos):
-            S = flux_coefficients(self.p, self.q, self.a_e, m)[0]
+            self.fp, self.fq = flux_phases(asm.p, asm.q, asm.a_e, m)
         else:
-            S = np.zeros_like(m)
-            S[pos] = flux_coefficients(self.p, self.q, self.a_e[pos], m[pos])[0]
+            self.fp, self.fq = np.zeros_like(m), np.zeros_like(m)
+            self.fp[pos], self.fq[pos] = flux_phases(asm.p, asm.q, asm.a_e[pos], m[pos])
+
+    @cached_property
+    def energy(self):
+        """sum_e |e| m^2 (fp/p + fq/q) - eps * load . u."""
+        asm = self.asm
+        e = asm.measure * float(np.sum(self.m2 * (self.fp / asm.p + self.fq / asm.q)))
+        if asm.epsilon != 0.0:
+            e -= asm.epsilon * float(np.dot(asm.load, self.values))
+        return e
+
+    @cached_property
+    def residual(self):
+        """The residual at every node (boundary entries included)."""
+        asm = self.asm
         # |e| A(Du) . grad phi: +-A_i / h_i at the head and tail of axis i
-        flux = (self.measure * S) * G * self.inv_h
-        r = np.zeros(self.shape)
-        for i, t, head, tail in self.grid.element_diffs:
+        flux = (asm.measure * (self.fp + self.fq)) * self.G * asm.inv_h
+        r = np.zeros(asm.shape)
+        for i, t, head, tail in asm.grid.element_diffs:
             r[head] += flux[i, t]
             r[tail] -= flux[i, t]
-        return r.reshape(-1) - self.epsilon * self.load
+        return r.reshape(-1) - asm.epsilon * asm.load
 
-    def jacobian(self, values, delta, active):
+    def jacobian(self, active):
         """Newton matrix over the interior nodes, in the band storage of
-        :attr:`pattern`: each element's tensor T = |e| (S I + Gamma/m^2 G G^T)
-        goes straight into one coupling array per band offset. Interior
-        nodes in the nodal mask ``active`` become identity rows and columns,
-        decoupled from the free block, so the band and the SPD property
-        survive and a zero right-hand side there gives a zero step."""
-        offsets, weights, targets = self.couplings
-        G, g2 = self._gradients(values)
-        m2 = g2 + delta * delta
-        s1, gam = flux_coefficients(self.p, self.q, self.a_e, np.sqrt(m2))
+        :attr:`_Assembler.pattern`: each element's tensor T = |e| (S I +
+        Gamma/m^2 G G^T) goes straight into one coupling array per band
+        offset. Interior nodes in the nodal mask ``active`` become identity
+        rows and columns, decoupled from the free block, so the band and the
+        SPD property survive and a zero right-hand side there gives a zero
+        step."""
+        asm, G = self.asm, self.G
+        offsets, weights, targets = asm.couplings
+        s1, gam = phase_coefficients(asm.p, asm.q, self.fp, self.fq)
         # T / |e| = S I + Gamma/m^2 G G^T, then (types, dim^2, cells)
-        T = ((gam / m2) * G)[:, None] * G[None, :]
+        T = ((gam / self.m2) * G)[:, None] * G[None, :]
         for i in range(len(G)):
             T[i, i] += s1
         T = T.reshape(weights.shape[2], len(s1), -1).swapaxes(0, 1)
-        A = np.zeros((len(offsets),) + self.shape)
-        for entries, cuts, pairs in zip(weights @ T, self.grid.element_cuts, targets):
+        A = np.zeros((len(offsets),) + asm.shape)
+        for entries, cuts, pairs in zip(weights @ T, asm.grid.element_cuts, targets):
             for (row, off), entry in zip(pairs, entries):
                 A[off][cuts[row]] += entry.reshape(s1.shape[1:])
-        inner = (slice(None),) + (slice(1, -1),) * self.grid.dim
-        return self.pattern.fill(A[inner].reshape(len(offsets), -1), active[self.grid.interior_idx])
+        inner = (slice(None),) + (slice(1, -1),) * asm.grid.dim
+        return asm.pattern.fill(A[inner].reshape(len(offsets), -1), active[asm.grid.interior_idx])
 
 
 def energy(field, spec, delta=0.0):
     """Discrete double-phase energy of a field under the given spec."""
     _check_field(field, spec)
-    return _Assembler(spec).energy(field.values, delta)
+    return _State(_Assembler(spec), field.values, delta).energy
 
 
 def residual(field, spec, delta=0.0):
@@ -249,7 +272,7 @@ def residual(field, spec, delta=0.0):
     ordered like ``spec.grid.interior_idx``.
     """
     _check_field(field, spec)
-    return _Assembler(spec).residual_full(field.values, delta)[spec.grid.interior_idx]
+    return _State(_Assembler(spec), field.values, delta).residual[spec.grid.interior_idx]
 
 
 def _check_field(field, spec):
@@ -264,11 +287,12 @@ def _strict_gate(spec):
             raise ValidationError(f"strict exponent validation failed: {check.message}")
 
 
-def _free_residual(asm, u, delta, psi):
-    """Residual r at ``u``, the contact set (interior nodes with u <= psi
-    and r > 0), the free nodes' positions in ``interior_idx``, max free |r|."""
-    r = asm.residual_full(u, delta)
-    interior = asm.grid.interior_idx
+def _free_residual(state, psi):
+    """Residual r at the state's field u, the contact set (interior nodes
+    with u <= psi and r > 0), the free nodes' positions in
+    ``interior_idx``, max free |r|."""
+    r, u = state.residual, state.values
+    interior = state.asm.grid.interior_idx
     active = (u <= psi) & (r > 0.0)
     keep = np.flatnonzero(~active[interior])
     return r, active, keep, float(np.max(np.abs(r[interior[keep]]), initial=0.0))
@@ -280,6 +304,14 @@ def _newton_step(asm, lu, u, r, keep):
     rhs = np.zeros(len(asm.grid.interior_idx))
     rhs[keep] = -r[asm.grid.interior_idx[keep]]  # zero on the active nodes
     return asm.pattern.solve(lu, rhs, u)[keep]
+
+
+def _trial(asm, u, free, d, psi, delta):
+    """The state at ``u`` moved by ``d`` on the ``free`` nodes and
+    projected onto u >= psi there."""
+    values = u.copy()
+    values[free] = np.maximum(u[free] + d, psi[free])
+    return _State(asm, values, delta)
 
 
 def _newton(asm, u, delta, tol, psi, history, energies):
@@ -298,6 +330,10 @@ def _newton(asm, u, delta, tol, psi, history, energies):
     every kept step to ``energies``; returns (u, steps, r, failure): ``r``
     the residual at u, ``failure`` None or why the loop stopped short.
 
+    The law is evaluated once per field (:class:`_State`): the start, each
+    Armijo trial and each closing trial. The accepted trial's state gives
+    the next residual and, if the next step factors, the Newton matrix.
+
     On a wide band (half-bandwidth >= ``WIDE_BAND``) the loop reuses its
     factor, as in the simplified Newton method: a full step (tau = 1) that
     cut the max free residual at least ``1 / REUSE_CONTRACTION``-fold is
@@ -308,9 +344,10 @@ def _newton(asm, u, delta, tol, psi, history, energies):
     """
     interior = asm.grid.interior_idx
     wide = asm.pattern.bw >= WIDE_BAND
-    r, active, keep, rn = _free_residual(asm, u, delta, psi)
+    state = _State(asm, u, delta)
+    r, active, keep, rn = _free_residual(state, psi)
     history.append(rn)
-    steps, e0, failure = 0, None, None  # e0: the energy at u, once known
+    steps, failure = 0, None
     chord, factored = False, None  # factored: the contact set of the factor
     while rn > tol:
         if steps == NEWTON_CAP:
@@ -318,45 +355,44 @@ def _newton(asm, u, delta, tol, psi, history, energies):
             break
         if not (chord and np.array_equal(active, factored)):
             lu = None  # drop the last factor first: one band is alive at a time
-            lu, factored = asm.pattern.factor(asm.jacobian(u, delta, active), u), active
+            lu, factored = asm.pattern.factor(state.jacobian(active), u), active
         d = _newton_step(asm, lu, u, r, keep)
         free = interior[keep]
         slope = float(np.dot(r[free], d))
-        if e0 is None:
-            e0 = asm.energy(u, delta)
         # Armijo backtracking along the projected path; skip the test
         # where rounding noise wins
-        tau, e1, trial = 1.0, None, u.copy()
-        trial[free] = np.maximum(u[free] + d, psi[free])
+        tau, trial = 1.0, _trial(asm, u, free, d, psi, delta)
+        e0 = state.energy
         if abs(slope) > 1e-13 * (1.0 + abs(e0)):
             for _bt in range(60):
-                e1 = asm.energy(trial, delta)
-                if e1 <= e0 + 1e-4 * tau * slope:
+                if trial.energy <= e0 + 1e-4 * tau * slope:
                     break
                 tau *= 0.5
-                trial[free] = np.maximum(u[free] + tau * d, psi[free])
+                trial = None  # one trial state is alive at a time
+                trial = _trial(asm, u, free, tau * d, psi, delta)
             else:
                 failure = f"line search stalled at residual {rn:.3e}"
                 break
-        u, e0, steps = trial, e1, steps + 1
-        e0 = asm.energy(u, delta) if e0 is None else e0
-        energies.append(e0)
+        state, steps = trial, steps + 1
+        u = state.values
+        energies.append(state.energy)
         rn_last = rn
-        r, active, keep, rn = _free_residual(asm, u, delta, psi)
+        r, active, keep, rn = _free_residual(state, psi)
         history.append(rn)
         chord = wide and tau == 1.0 and rn <= REUSE_CONTRACTION * rn_last
     if failure is not None and rn > ACCEPT_TOL:
         return u, steps, r, f"{failure} (delta={delta:g})"
     closing = steps > 0
     while closing and rn > 0.0:
-        free, trial = interior[keep], u.copy()
-        trial[free] = np.maximum(u[free] + _newton_step(asm, lu, u, r, keep), psi[free])
-        r_trial, _, keep_trial, rn_trial = _free_residual(asm, trial, delta, psi)
+        trial = None
+        trial = _trial(asm, u, interior[keep], _newton_step(asm, lu, u, r, keep), psi, delta)
+        r_trial, _, keep_trial, rn_trial = _free_residual(trial, psi)
         halved = rn_trial <= 0.5 * rn
         if rn_trial < rn:
-            u, r, keep, rn, steps = trial, r_trial, keep_trial, rn_trial, steps + 1
+            state, r, keep, rn, steps = trial, r_trial, keep_trial, rn_trial, steps + 1
+            u = state.values
             history.append(rn)
-            energies.append(asm.energy(u, delta))
+            energies.append(state.energy)
         closing = wide and halved and steps < NEWTON_CAP
     return u, steps, r, None
 
@@ -396,7 +432,7 @@ def _solve(asm, start, psi, newton_tol, notes=""):
         converged=failure is None and rn <= max(newton_tol, ACCEPT_TOL),
         iterations=steps,
         residual_norm=rn,
-        energy=asm.energy(u, 0.0),
+        energy=_State(asm, u, 0.0).energy,
         delta_schedule=tuple(deltas),
         residual_history=tuple(history),
         energy_history=tuple(energies),
@@ -511,7 +547,7 @@ def complementarity_summary(field, spec, delta=DELTA_SCHEDULE[-1]):
     """
     if spec.obstacle is None:
         raise ValidationError("complementarity_summary needs an obstacle spec")
-    r = _Assembler(spec).residual_full(field.values, delta)
+    r = _State(_Assembler(spec), field.values, delta).residual
     interior = spec.grid.interior_idx
     psi = spec.obstacle.values
     on = field.values[interior] <= psi[interior] + contact_tolerance(psi)

@@ -25,6 +25,7 @@ from doublephase.variational import (
     ProblemSpec,
     _Assembler,
     _quadratic_lower_envelope,
+    _State,
     approximation_sequence,
     complementarity_summary,
     energy,
@@ -131,6 +132,39 @@ class TestResidual:
             assert fd == pytest.approx(r[probe], rel=1e-6, abs=1e-10)
 
 
+class TestFlatElementsAtZeroDelta:
+    # at delta = 0 a flat element has m = 0, where the phases m^(p-2) and
+    # a m^(q-2) are infinite for exponents below 2; its energy density and
+    # flux are still 0, with no NaN and no floating-point warning
+    @pytest.mark.parametrize("p,q", [(1.5, 1.8), (2.5, 3.0)])
+    @pytest.mark.parametrize("flat", ["everywhere", "left half"])
+    def test_energy_and_residual_match_the_gather_oracle(self, p, q, flat):
+        g = Grid((9, 9))
+        x, y = g.coords.T
+        values = np.full(g.n_nodes, 0.3)
+        if flat == "left half":
+            values += np.maximum(x - 0.5, 0.0) * (1.0 + y)
+        spec = ProblemSpec(grid=g, params=const_params(p, q, a0=0.7), boundary=BoundaryData.constant(0.3),
+                           epsilon=0.5)
+        field = NodalField(g, values)
+        ref = ElementAssembly(g, p, q, lambda pts: np.full(len(pts), 0.7), 0.5)
+        e, scale = ref.energy(values, 0.0)
+        assert np.isfinite(energy(field, spec)) and abs(energy(field, spec) - e) <= 1e-13 * scale
+        r, scale = ref.residual_full(values, 0.0)
+        got = residual(field, spec)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - r[g.interior_idx])) <= 1e-13 * scale
+
+    def test_constant_data_solve_reports_zero_energy(self):
+        spec = ProblemSpec(grid=Grid((9, 9)), params=const_params(1.5, 1.8, a0=0.7),
+                           boundary=BoundaryData.constant(0.25))
+        u, rep = solve_dirichlet(spec)
+        # the Poisson start is constant up to rounding, which a step removes
+        assert rep.converged and rep.residual_norm == 0.0
+        np.testing.assert_array_equal(u.values, 0.25)
+        assert rep.energy == 0.0
+
+
 @st.composite
 def newton_cases(draw):
     """A random field on a small 1D or 2D grid, (p, q, a, delta) with
@@ -165,7 +199,7 @@ class TestNewtonMatrix:
         free = grid.interior_idx[keep]
         nodal = np.zeros(grid.n_nodes, dtype=bool)
         nodal[grid.interior_idx[active]] = True
-        full = dense_from_band(asm.jacobian(values, delta, nodal), symmetric=True)
+        full = dense_from_band(_State(asm, values, delta).jacobian(nodal), symmetric=True)
         assert full.shape == (len(grid.interior_idx),) * 2
         # active rows and columns are identity rows decoupled from the rest
         unit = np.eye(len(grid.interior_idx))
@@ -183,7 +217,7 @@ class TestNewtonMatrix:
             up, dn = values.copy(), values.copy()
             up[node] += step
             dn[node] -= step
-            fd[:, c] = (asm.residual_full(up, delta) - asm.residual_full(dn, delta))[free] / (2.0 * step)
+            fd[:, c] = (_State(asm, up, delta).residual - _State(asm, dn, delta).residual)[free] / (2.0 * step)
         scale = float(np.max(np.abs(K), initial=0.0))
         assert np.all(np.abs(fd - K) <= 1e-5 * scale)
 
@@ -227,14 +261,15 @@ class TestSlicedAssembly:
         # below the underflow threshold rounding is absolute, so the
         # relative bound gets a floor of a few subnormal units
         tiny = 64 * np.finfo(float).smallest_subnormal
+        state = _State(asm, values, delta)
         e, scale = ref.energy(values, delta)
-        assert abs(asm.energy(values, delta) - e) <= max(1e-13 * scale, tiny)
+        assert abs(state.energy - e) <= max(1e-13 * scale, tiny)
         r, scale = ref.residual_full(values, delta)
-        assert np.max(np.abs(asm.residual_full(values, delta) - r)) <= max(1e-13 * scale, tiny)
+        assert np.max(np.abs(state.residual - r)) <= max(1e-13 * scale, tiny)
         # the free matrix is the one under an all-false mask
         for mask, nodal in ((None, np.zeros(grid.n_nodes, dtype=bool)), (active, active)):
             K = ref.jacobian(values, delta, mask)
-            band = dense_from_band(asm.jacobian(values, delta, nodal), symmetric=True)
+            band = dense_from_band(state.jacobian(nodal), symmetric=True)
             assert np.max(np.abs(band - K)) <= 1e-13 * np.max(np.abs(K))
 
 
@@ -463,25 +498,82 @@ class TestSolveDirichlet:
         assert rep.residual_norm <= 1e-14
 
     def test_energy_at_the_iterate_is_not_recomputed(self, monkeypatch):
-        # the Armijo test of one step already has the energy at the next
-        # iterate; the next step must reuse it, not evaluate it again
+        # the Armijo test of one step already has the law (and the energy)
+        # at the next iterate; the next step must reuse it, not evaluate it
+        # again
         calls = []
-        inner = _Assembler.energy
 
-        def recording(self, values, delta):
-            calls.append((values.copy(), delta))
-            return inner(self, values, delta)
+        class Recording(_State):
+            def __init__(self, asm, values, delta):
+                calls.append((values.copy(), delta))
+                super().__init__(asm, values, delta)
 
-        monkeypatch.setattr(_Assembler, "energy", recording)
+        monkeypatch.setattr(variational, "_State", Recording)
         spec = ProblemSpec(grid=Grid((33, 33)), params=const_params(2.5, 3.0, a0=1.0),
                            boundary=smooth_bd(), epsilon=1.0)
         _u, rep = solve_dirichlet(spec)
-        assert rep.converged and rep.iterations > 1
+        assert rep.converged and rep.iterations > 1 and len(calls) > rep.iterations
         repeats = [
             k for k in range(1, len(calls))
             if calls[k][1] == calls[k - 1][1] and np.array_equal(calls[k][0], calls[k - 1][0])
         ]
         assert repeats == []
+
+    @pytest.mark.parametrize("case", ["wide-band dirichlet", "bump obstacle"])
+    def test_one_law_evaluation_per_iterate(self, monkeypatch, case):
+        # the energy, the residual and the Newton matrix at a field read one
+        # evaluation of the law, so the P1 gradients are taken once for the
+        # start, once per Armijo trial and closing trial (each a trial of the
+        # band solve before it), and once for the report's energy at delta = 0
+        events = []
+        gradients, factor, solve = Grid.gradients, InteriorPattern.factor, InteriorPattern.solve
+
+        def recording_gradients(self, values):
+            events.append(("law", values.copy()))
+            return gradients(self, values)
+
+        def recording_factor(self, band, state):
+            events.append(("factor", state.copy()))
+            return factor(self, band, state)
+
+        def recording_solve(self, lu, rhs, state):
+            x = solve(self, lu, rhs, state)
+            events.append(("solve", state.copy(), x.copy()))
+            return x
+
+        g = Grid((65, 5)) if case == "wide-band dirichlet" else Grid((17, 17))
+        spec = ProblemSpec(grid=g, params=const_params(2.5, 3.0), boundary=smooth_bd())
+        psi = np.full(g.n_nodes, -np.inf)
+        if case == "bump obstacle":
+            cx, cy = g.coords.T
+            bump = 0.15 * np.exp(-30.0 * ((cx - 0.4) ** 2 + (cy - 0.55) ** 2))
+            psi = solve_dirichlet(spec)[0].values - 0.05 + bump
+            spec = replace(spec, obstacle=NodalField(g, psi))
+        monkeypatch.setattr(Grid, "gradients", recording_gradients)
+        monkeypatch.setattr(InteriorPattern, "factor", recording_factor)
+        monkeypatch.setattr(InteriorPattern, "solve", recording_solve)
+        u, rep = (solve_dirichlet if spec.obstacle is None else solve_obstacle)(spec)
+        assert rep.converged and rep.iterations > 1
+        if case == "bump obstacle":
+            assert rep.active_set_size > 0
+        laws = [e[1] for e in events if e[0] == "law"]
+        solves = [e for e in events if e[0] == "solve"]
+        assert [e[0] for e in events[:3]] == ["law", "factor", "solve"]  # the start, then its step
+        np.testing.assert_array_equal(events[-1][1], u.values)  # the report's energy
+        interior, trials = g.interior_idx, 0
+        for event in events[1:-1]:
+            if event[0] == "solve":
+                _, state, x = event
+                tau = 1.0
+            elif event[0] == "law":
+                trial = state.copy()
+                trial[interior] = np.maximum(state[interior] + tau * x, psi[interior])
+                np.testing.assert_array_equal(event[1], trial)
+                trials, tau = trials + 1, 0.5 * tau
+        assert trials >= len(solves)
+        assert len(laws) == 1 + trials + 1
+        if case == "wide-band dirichlet":  # most band solves reuse a factor
+            assert 3 * sum(e[0] == "factor" for e in events) < len(solves)
 
     def test_one_factorization_per_loop_step(self, monkeypatch):
         # the warm start factors nothing, and the closing step solves with
