@@ -26,11 +26,12 @@ Where the Newton matrix has a wide band (half-bandwidth >= ``WIDE_BAND``,
 several Newton steps' worth of other work. There the loop keeps its
 factor for chord steps while they contract fast, and a Dirichlet solve
 whose half-resolution grid is wide too (from 129 nodes across) starts
-from the interpolated solution of that coarse problem (nested
-iteration). Narrower bands run the plain loop, and every other solve
-starts from the Poisson warm start. So an obstacle that never touches
-gives the Dirichlet solve's steps bit for bit only where that solve
-takes no nested start.
+from the interpolated solution of a coarse problem (nested iteration):
+the quarter-resolution problem where the grid coarsens twice, the
+half-resolution one otherwise. Narrower bands run the plain loop, and
+every other solve starts from the Poisson warm start. So an obstacle
+that never touches gives the Dirichlet solve's steps bit for bit only
+where that solve takes no nested start.
 """
 
 from dataclasses import dataclass, replace
@@ -112,8 +113,8 @@ class SolveReport:
     """What a solve achieved. ``energy`` is the variational route's
     discrete energy at delta = 0; viscosity reports carry NaN there.
     ``iterations`` and ``residual_history`` describe the requested grid
-    only: a Dirichlet solve that started from a half-resolution solve
-    names that solve in ``notes`` (``warm start: 65x65 solve``)."""
+    only: a Dirichlet solve that started from a coarser solve names
+    that solve in ``notes`` (``warm start: 33x33 solve``)."""
 
     converged: bool
     iterations: int
@@ -449,14 +450,16 @@ def solve_dirichlet(spec, newton_tol=NEWTON_TOL):
 
     When every axis has an odd node count of at least 5 and the
     half-resolution grid still has a wide band (2D grids from 129 nodes
-    across), the Newton loop starts from that coarse problem's solution
-    (nested iteration): the coarse problem takes the boundary data at the
-    even-indexed nodes, is solved by these same rules, and its
-    multilinear interpolant, with the boundary data restored, is the
-    start. Elsewhere, or if the coarse solve fails, the loop starts from
-    :func:`grids.poisson_start`. The report's ``iterations`` and
-    ``residual_history`` describe the requested grid only, and its
-    ``notes`` name the coarse solve.
+    across), the Newton loop starts from a coarse problem's solution
+    (nested iteration): on the quarter-resolution grid where the
+    half-resolution grid coarsens too (129^2 from 33^2), else on the
+    half-resolution grid (129 x 7 from 65 x 4). The coarse problem takes
+    the boundary data at its nodes, is solved by these same rules, and
+    its multilinear interpolant, taken once per level, with the boundary
+    data restored, is the start. Elsewhere, or if the coarse solve fails,
+    the loop starts from :func:`grids.poisson_start`. The report's
+    ``iterations`` and ``residual_history`` describe the requested grid
+    only, and its ``notes`` name the coarse solve.
     """
     if spec.obstacle is not None:
         raise ValidationError("solve_dirichlet expects a spec without an obstacle")
@@ -473,19 +476,26 @@ def _dirichlet(spec, newton_tol):
     asm = _Assembler(spec)  # checks the coefficient before the boundary data are read
     g_values = spec.boundary.values_on(grid)
     start, notes = None, ""
-    # coarsening halves a 2D band (nx - 1), and a 1D band (1) is never wide
-    if all(n % 2 and n >= 5 for n in grid.shape) and asm.pattern.bw >= 2 * WIDE_BAND:
-        coarse = grid.coarsen()
+    # coarsening halves a 2D band (nx - 1), and a 1D band (1) is never wide;
+    # the half-resolution solve is skipped where its grid coarsens, as the
+    # fine loop takes no more factorizations from a quarter-resolution start
+    levels, wide = [grid], asm.pattern.bw >= 2 * WIDE_BAND
+    while wide and len(levels) < 3 and all(n % 2 and n >= 5 for n in levels[-1].shape):
+        levels.append(levels[-1].coarsen())
+    if len(levels) > 1:
+        coarse = levels[-1]
         nodal = np.zeros(grid.n_nodes)
         nodal[grid.boundary_idx] = g_values
-        even = nodal.reshape(grid.shape[::-1])[(slice(None, None, 2),) * grid.dim].reshape(-1)
-        coarse_spec = replace(spec, grid=coarse, boundary=BoundaryData.from_values(even[coarse.boundary_idx]))
+        stride = slice(None, None, 2 ** (len(levels) - 1))
+        sub = nodal.reshape(grid.shape[::-1])[(stride,) * grid.dim].reshape(-1)
+        coarse_spec = replace(spec, grid=coarse, boundary=BoundaryData.from_values(sub[coarse.boundary_idx]))
         try:
-            u_coarse = _dirichlet(coarse_spec, newton_tol)[0].values
+            start = _dirichlet(coarse_spec, newton_tol)[0].values
         except (NonConvergence, LinearSolveFailure):
             pass
         else:
-            start = _prolong(grid, u_coarse)
+            for level in levels[-2::-1]:
+                start = _prolong(level, start)
             start[grid.boundary_idx] = g_values
             notes = f"warm start: {'x'.join(map(str, coarse.shape))} solve"
     if start is None:

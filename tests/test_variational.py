@@ -342,6 +342,21 @@ class TestOneSolvePath:
         assert rep_obstacle.active_set_size == 0
 
 
+@st.composite
+def nested_cases(draw):
+    """A 129 x {5, 7, 9} grid, an acceptance regime, eps in {0, 1/2} and a
+    seeded trig-series boundary datum, with the grid whose solve starts
+    the loop: 9 rows coarsen twice (33 x 3), 7 and 5 rows once."""
+    rows = draw(st.sampled_from([5, 7, 9]))
+    grid = Grid((129, rows))
+    p, q, a0 = draw(st.sampled_from([(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)]))
+    spec = ProblemSpec(
+        grid=grid, params=const_params(p, q, a0=a0), epsilon=draw(st.sampled_from([0.0, 0.5])),
+        boundary=BoundaryData.from_callable(trig_series(draw(st.integers(0, 2 ** 32 - 1)), 2)),
+    )
+    return spec, {5: "65x3", 7: "65x4", 9: "33x3"}[rows]
+
+
 class TestSolveDirichlet:
     def test_1d_linear_exact(self):
         g = Grid((129,))
@@ -605,8 +620,9 @@ class TestSolveDirichlet:
 
     @pytest.mark.parametrize("p,q,a0,eps", [(1.5, 1.8, 0.7, 1.0), (2.5, 3.0, 1.0, 0.0)])
     def test_wide_band_reuse_and_nested_start(self, monkeypatch, p, q, a0, eps):
-        # at 129^2 the loop starts from the 65^2 solve and reuses factors;
-        # with WIDE_BAND above every band it runs the plain loop instead
+        # at 129^2 the loop starts from the 33^2 solve, interpolated twice,
+        # and reuses factors; the 65^2 grid between is never solved. With
+        # WIDE_BAND above every band it runs the plain loop instead
         spec = ProblemSpec(grid=Grid((129, 129)), params=const_params(p, q, a0=a0),
                            boundary=smooth_bd(), epsilon=eps)
         factors = []
@@ -619,8 +635,8 @@ class TestSolveDirichlet:
         monkeypatch.setattr(InteriorPattern, "factor", recording_factor)
         u, rep = solve_dirichlet(spec)
         nested = factors.count((129, 129))
-        assert (65, 65) in factors
-        assert rep.converged and rep.notes == "warm start: 65x65 solve"
+        assert (33, 33) in factors and not any(shape[0] == 65 for shape in factors)
+        assert rep.converged and rep.notes == "warm start: 33x33 solve"
         assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
         assert rep.residual_norm <= variational.NEWTON_TOL
         assert len(rep.residual_history) == rep.iterations + 1
@@ -635,7 +651,7 @@ class TestSolveDirichlet:
         g = Grid((129, 9))
         spec = ProblemSpec(grid=g, params=const_params(1.6, 2.2, a0=0.8), boundary=smooth_bd(), epsilon=0.5)
         u, rep = solve_dirichlet(spec)
-        assert rep.notes == "warm start: 65x5 solve"
+        assert rep.notes == "warm start: 33x3 solve"
         explicit = replace(spec, boundary=BoundaryData.from_values(spec.boundary.values_on(g)))
         v, rep_explicit = solve_dirichlet(explicit)
         np.testing.assert_array_equal(v.values, u.values)
@@ -655,24 +671,54 @@ class TestSolveDirichlet:
 
         monkeypatch.setattr(variational, "_dirichlet", failing)
         u, rep = solve_dirichlet(spec)
-        assert coarse == [(65, 5)]
+        assert coarse == [(33, 3)]
         assert rep.converged and rep.notes == ""
         assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
         monkeypatch.setattr(variational, "_dirichlet", inner)
         v, _ = solve_dirichlet(spec)
         assert np.max(np.abs(u.values - v.values)) <= 1e-10
 
-    @pytest.mark.parametrize("shape", [(9,), (5, 9), (9, 5), (17, 17)])
+    @pytest.mark.parametrize("shape", [(9,), (5, 9), (9, 5), (17, 17), (17, 9)])
     def test_prolongation_is_multilinear(self, shape):
         # coarse nodes keep their values bit for bit, and the interpolant
-        # of a multilinear function (a + b x + c y + d x y) is exact
+        # of a multilinear function (a + b x + c y + d x y) is exact; where
+        # the grid coarsens twice, so are quarter-grid values prolonged twice
         g = Grid(shape, lower=(0.5, -1.0)[:len(shape)], extent=(1.0, 0.75)[:len(shape)])
-        coarse = g.coarsen()
-        values = np.random.default_rng(7).uniform(-1.0, 1.0, coarse.n_nodes)
-        fine = variational._prolong(g, values).reshape(g.shape[::-1])
-        np.testing.assert_array_equal(fine[(slice(None, None, 2),) * g.dim].reshape(-1), values)
         f = lambda pts: 0.1 + pts @ np.array([0.7, -0.4])[:g.dim] + 0.9 * (g.dim == 2) * np.prod(pts, axis=1)
-        np.testing.assert_allclose(variational._prolong(g, f(coarse.coords)), f(g.coords), rtol=0.0, atol=1e-15)
+        chain = [g, g.coarsen()]
+        if all(n % 2 and n >= 5 for n in chain[-1].shape):
+            chain.append(chain[-1].coarsen())
+        for depth, coarse in enumerate(chain[1:], 1):
+            values = np.random.default_rng(7).uniform(-1.0, 1.0, coarse.n_nodes)
+            fine, interp = values, f(coarse.coords)
+            for level in chain[depth - 1::-1]:
+                fine, interp = variational._prolong(level, fine), variational._prolong(level, interp)
+            fine = fine.reshape(g.shape[::-1])
+            np.testing.assert_array_equal(fine[(slice(None, None, 2 ** depth),) * g.dim].reshape(-1), values)
+            np.testing.assert_allclose(interp, f(g.coords), rtol=0.0, atol=1e-15)
+        assert len(chain) == (2 if shape in [(5, 9), (9, 5)] else 3)  # the two-level case ran
+
+    @pytest.mark.parametrize("rows,coarse", [(7, "65x4"), (5, "65x3")])
+    def test_half_resolution_start_where_rows_coarsen_once(self, rows, coarse):
+        # 65 x 4 and 65 x 3 do not coarsen, so the 129-wide grid starts from
+        # the half-resolution solve
+        spec = ProblemSpec(grid=Grid((129, rows)), params=const_params(1.6, 2.2, a0=0.8),
+                           boundary=smooth_bd(), epsilon=0.5)
+        u, rep = solve_dirichlet(spec)
+        assert rep.converged and rep.notes == f"warm start: {coarse} solve"
+        assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
+
+    @settings(max_examples=30)
+    @given(nested_cases())
+    def test_nested_start_matches_the_plain_loop(self, case):
+        spec, coarse = case
+        u, rep = solve_dirichlet(spec)
+        assert rep.converged and rep.notes == f"warm start: {coarse} solve"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variational, "WIDE_BAND", 10 ** 9)
+            v, plain = solve_dirichlet(spec)
+        assert plain.converged and plain.notes == ""
+        assert np.max(np.abs(u.values - v.values)) <= 1e-10
 
     def test_three_rows_do_not_nest(self):
         # 129 nodes across has a wide band, but 3 rows do not coarsen
