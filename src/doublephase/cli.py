@@ -30,8 +30,8 @@ Example::
     directory = out
     prefix = demo
 
-Exit codes: 0 success (and every study verdict passed), 1 solver
-non-convergence, 2 configuration error, 3 study verdict failure.
+Exit codes: 0 success (all study verdicts pass), 1 non-convergence or a
+failed linear solve, 2 configuration or other input error, 3 failed verdict.
 All files are written atomically (temp file then rename), and every CSV
 starts with a comment line recording version, config hash and seed.
 """
@@ -42,12 +42,14 @@ import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import (
     DoublePhaseError,
+    LinearSolveFailure,
     NonConvergence,
     ParseError,
     ValidationError,
@@ -67,30 +69,43 @@ from .viscosity import solve_viscosity
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
-_COMMANDS = (
-    "solve-var",
-    "solve-visc",
-    "solve-obstacle",
-    "study:equivalence",
-    "study:comparison",
-    "study:caccioppoli",
-    "study:regularization",
-    "study:obstacle-approximation",
-)
 
+def _tolerance(config, key, keyword):
+    """The solver keyword for the ``[tolerances]`` entry ``key``, if set."""
+    tol = config.tolerances[key]
+    return {} if tol is None else {keyword: tol}
+
+
+# command -> runner, in the order argparse and the diagnostics list them.
+# The runners look the solvers and studies up per call; a solve returns
+# (field, report), a study its table. The obstacle target defaults to the
+# unconstrained solution
+_COMMANDS = {
+    "solve-var": lambda c: solve_dirichlet(c.spec, **_tolerance(c, "newton", "newton_tol")),
+    "solve-visc": lambda c: solve_viscosity(c.spec, **_tolerance(c, "gauss_seidel", "tol")),
+    "solve-obstacle": lambda c: solve_obstacle(c.spec, **_tolerance(c, "newton", "newton_tol")),
+    "study:equivalence": lambda c: equivalence_study(c.spec, c.study_options["refinements"], seed=c.seed),
+    "study:comparison": lambda c: comparison_study(c.spec, c.study_options["trials"], seed=c.seed),
+    "study:caccioppoli": lambda c: caccioppoli_study(c.spec, c.study_options["cutoffs"], seed=c.seed),
+    "study:regularization": lambda c: regularization_study(c.spec, c.study_options["epsilons"], seed=c.seed),
+    "study:obstacle-approximation": lambda c: obstacle_approximation_study(
+        c.spec, solve_dirichlet(c.spec)[0] if c.study_options["target"] is None else c.study_options["target"],
+        c.study_options["levels"], seed=c.seed),
+}
+
+
+@dataclass
 class RunConfig:
     """Validated run description built from a config file."""
 
-    def __init__(self, command, spec, tolerances, output_dir, prefix, seed,
-                 study_options, config_hash):
-        self.command = command
-        self.spec = spec
-        self.tolerances = tolerances
-        self.output_dir = output_dir
-        self.prefix = prefix
-        self.seed = seed
-        self.study_options = study_options
-        self.config_hash = config_hash
+    command: str
+    spec: object
+    tolerances: dict
+    output_dir: str
+    prefix: str
+    seed: int
+    study_options: dict
+    config_hash: str
 
 
 def _parse_sections(text):
@@ -140,25 +155,24 @@ class _ConfigReader:
         entry = self.values.get((section, key))
         return entry[1] if entry else 0
 
-    def number(self, section, key, default=None, required=False):
+    def _convert(self, section, key, default, required, convert, what):
+        """``convert`` of the raw text; a diagnostic naming ``what`` the
+        value must be, and ``default``, where it raises ValueError."""
         raw = self.get(section, key, required=required)
         if raw is None:
             return default
         try:
-            return float(raw)
+            return convert(raw)
         except ValueError:
-            self.diags.append((self.line(section, key), key, f"not a number: {raw!r}"))
+            self.diags.append((self.line(section, key), key, f"not {what}: {raw!r}"))
             return default
 
+    def number(self, section, key, default=None, required=False):
+        return self._convert(section, key, default, required, float, "a number")
+
     def integers(self, section, key, default=None, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            return tuple(int(t) for t in raw.split())
-        except ValueError:
-            self.diags.append((self.line(section, key), key, f"not integers: {raw!r}"))
-            return default
+        return self._convert(section, key, default, required,
+                             lambda raw: tuple(int(t) for t in raw.split()), "integers")
 
     def count(self, section, key, default=None, required=False, least=1):
         """Exactly one integer, at least ``least``."""
@@ -170,14 +184,8 @@ class _ConfigReader:
         return default if values is None else values[0]
 
     def numbers(self, section, key, default=None):
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return tuple(float(t) for t in raw.split())
-        except ValueError:
-            self.diags.append((self.line(section, key), key, f"not numbers: {raw!r}"))
-            return default
+        return self._convert(section, key, default, False,
+                             lambda raw: tuple(float(t) for t in raw.split()), "numbers")
 
     def boolean(self, section, key, default=False):
         raw = self.get(section, key)
@@ -264,11 +272,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
             )
         else:
             try:
-                grid = Grid(
-                    nodes,
-                    lower=lower if lower is not None else None,
-                    extent=extent if extent is not None else None,
-                )
+                grid = Grid(nodes, lower=lower, extent=extent)
             except (ValueError, DoublePhaseError) as exc:
                 reader.diags.append((reader.line("problem", "nodes"), "nodes", str(exc)))
 
@@ -429,67 +433,29 @@ def run(config):
     """Execute a parsed :class:`RunConfig`; returns the process exit code."""
     os.makedirs(config.output_dir, exist_ok=True)
     base = os.path.join(config.output_dir, config.prefix)
-    try:
-        # command -> (solver, [tolerances] key, solver keyword), looked up per call
-        solvers = {
-            "solve-var": (solve_dirichlet, "newton", "newton_tol"),
-            "solve-obstacle": (solve_obstacle, "newton", "newton_tol"),
-            "solve-visc": (solve_viscosity, "gauss_seidel", "tol"),
-        }
-        if config.command in solvers:
-            solver, key, keyword = solvers[config.command]
-            tol = config.tolerances[key]
-            field, report = solver(config.spec, **({} if tol is None else {keyword: tol}))
-        elif config.command and config.command.startswith("study:"):
-            return _run_study(config, base)
-        else:
-            print(f"error: unknown command {config.command!r}", file=sys.stderr)
-            return 2
-    except ValidationError as exc:
-        _print_diags(exc)
+    if config.command not in _COMMANDS:
+        print(f"error: unknown command {config.command!r}", file=sys.stderr)
         return 2
-    except NonConvergence as exc:
+    try:
+        result = _COMMANDS[config.command](config)
+    except (NonConvergence, LinearSolveFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except DoublePhaseError as exc:
+        _print_diags(exc)
+        return 2
 
+    if config.command.startswith("study:"):
+        path = base + f"_{result.name}.csv"
+        _atomic_write(path, lambda tmp: result.to_csv(tmp, comment=_provenance(config)))
+        status = "pass" if result.verdict else "fail"
+        print(f"wrote {path} (verdict: {status})")
+        return 0 if result.verdict else 3
+    field, report = result
     _atomic_write(base + "_solution.field", lambda tmp: write_field(field, tmp))
     _write_report(config, report, base + "_report.csv")
     print(f"wrote {base}_solution.field and {base}_report.csv")
     return 0
-
-
-def _run_study(config, base):
-    name = config.command.split(":", 1)[1]
-    opts = config.study_options
-    spec = config.spec
-    # study name -> call, looked up per call; the obstacle target defaults
-    # to the unconstrained solution
-    studies = {
-        "equivalence": lambda: equivalence_study(spec, opts["refinements"], seed=config.seed),
-        "comparison": lambda: comparison_study(spec, opts["trials"], seed=config.seed),
-        "caccioppoli": lambda: caccioppoli_study(spec, opts["cutoffs"], seed=config.seed),
-        "regularization": lambda: regularization_study(spec, opts["epsilons"], seed=config.seed),
-        "obstacle-approximation": lambda: obstacle_approximation_study(
-            spec, solve_dirichlet(spec)[0] if opts["target"] is None else opts["target"],
-            opts["levels"], seed=config.seed),
-    }
-    if name not in studies:
-        print(f"error: unknown study {name!r}", file=sys.stderr)
-        return 2
-    try:
-        table = studies[name]()
-    except ValidationError as exc:
-        _print_diags(exc)
-        return 2
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    path = base + f"_{table.name}.csv"
-    _atomic_write(path, lambda tmp: table.to_csv(tmp, comment=_provenance(config)))
-    status = "pass" if table.verdict else "fail"
-    print(f"wrote {path} (verdict: {status})")
-    return 0 if table.verdict else 3
 
 
 def _print_diags(exc):

@@ -245,14 +245,13 @@ class InteriorPattern:
 
     def fill(self, values, active=None):
         """Band (lead, n) in Fortran order; ``values[k][i]`` couples interior
-        node i to its neighbour at ``offsets[k]`` (``values[k]`` may be one
-        scalar for every node). Interior nodes in the mask
+        node i to its neighbour at ``offsets[k]``. Interior nodes in the mask
         ``active`` become identity rows and columns: every coupling that
         touches one is dropped and its diagonal is 1."""
         band = np.zeros((self.n, self.lead)).T
         for (row, s, lo, hi, inside), v in zip(self._rows, values):
             keep = inside if active is None else inside & ~active[lo:hi] & ~active[lo + s:hi + s]
-            np.copyto(band[row, lo + s:hi + s], v[lo:hi] if np.ndim(v) else v, where=keep)
+            np.copyto(band[row, lo + s:hi + s], v[lo:hi], where=keep)
         if active is not None:
             band[self.diag_row, active] = 1.0
         return band

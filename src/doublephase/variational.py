@@ -17,9 +17,10 @@ gradients G, m^2 = |G|^2 + delta^2 and the phases m^(p-2) and
 a_e m^(q-2) of :func:`operators.flux_phases`. The energy, the residual
 and the Newton matrix all read that one evaluation, so a Newton step
 evaluates the law once per line-search trial, and the accepted trial's
-evaluation gives the next residual and Newton matrix. The public
-:func:`energy`, :func:`residual` and :func:`complementarity_summary` go
-through the same evaluation.
+evaluation gives the next residual and Newton matrix, the contact set,
+the Newton step and each projected trial. The public :func:`energy`,
+:func:`residual` and :func:`complementarity_summary` go through the same
+evaluation.
 
 Where the Newton matrix has a wide band (half-bandwidth >= ``WIDE_BAND``,
 2D grids from 65 nodes across), one banded Cholesky factorization costs
@@ -129,7 +130,8 @@ class SolveReport:
 
 
 class _Assembler:
-    """Per-spec data of the discrete energy, which :class:`_State` reads.
+    """Per-spec data of the discrete energy, which :class:`_State` reads,
+    and the obstacle values ``psi`` (-inf for the Dirichlet problem).
 
     The nodal values are read as an array over the grid, (ny, nx) in 2D,
     and each element type through the grid's slices (``grid.element_cuts``
@@ -154,6 +156,7 @@ class _Assembler:
             for cut in cuts:
                 load[cut] += self.measure / len(cuts)
         self.load = load.reshape(-1)
+        self.psi = np.full(grid.n_nodes, -np.inf) if spec.obstacle is None else spec.obstacle.values
 
     @cached_property
     def couplings(self):
@@ -199,8 +202,9 @@ class _State:
     fp = m^(p-2) and fq = a_e m^(q-2) of :func:`operators.flux_phases`, set
     to 0 where m = 0 (there G = 0, so the flux and the energy density
     vanish, whatever the phases). The energy, the residual and the Newton
-    matrix at the field all read these arrays; ``values`` must not change
-    while the state is in use.
+    matrix at the field all read these arrays, and so do the Newton loop's
+    views of the iterate (:attr:`free`, :meth:`step`, :meth:`moved`);
+    ``values`` must not change while the state is in use.
     """
 
     def __init__(self, asm, values, delta):
@@ -259,6 +263,32 @@ class _State:
         inner = (slice(None),) + (slice(1, -1),) * asm.grid.dim
         return asm.pattern.fill(A[inner].reshape(len(offsets), -1), active[asm.grid.interior_idx])
 
+    @cached_property
+    def free(self):
+        """(active, keep, rn): the contact set, interior nodes with u <= psi
+        and r > 0, as a nodal mask; the free nodes' positions in
+        ``interior_idx``; and max free |r|, the Newton loop's stop measure."""
+        r, interior = self.residual, self.asm.grid.interior_idx
+        active = (self.values <= self.asm.psi) & (r > 0.0)
+        keep = np.flatnonzero(~active[interior])
+        return active, keep, float(np.max(np.abs(r[interior[keep]]), initial=0.0))
+
+    def step(self, lu):
+        """The Newton step on the free interior nodes with the factored
+        Newton matrix ``lu``."""
+        interior, keep = self.asm.grid.interior_idx, self.free[1]
+        rhs = np.zeros(len(interior))
+        rhs[keep] = -self.residual[interior[keep]]  # zero on the active nodes
+        return self.asm.pattern.solve(lu, rhs, self.values)[keep]
+
+    def moved(self, d, delta):
+        """The state at regularisation ``delta`` of the field moved by ``d``
+        on the free nodes and projected onto u >= psi there."""
+        free = self.asm.grid.interior_idx[self.free[1]]
+        values = self.values.copy()
+        values[free] = np.maximum(self.values[free] + d, self.asm.psi[free])
+        return _State(self.asm, values, delta)
+
 
 def energy(field, spec, delta=0.0):
     """Discrete double-phase energy of a field under the given spec."""
@@ -288,34 +318,7 @@ def _strict_gate(spec):
             raise ValidationError(f"strict exponent validation failed: {check.message}")
 
 
-def _free_residual(state, psi):
-    """Residual r at the state's field u, the contact set (interior nodes
-    with u <= psi and r > 0), the free nodes' positions in
-    ``interior_idx``, max free |r|."""
-    r, u = state.residual, state.values
-    interior = state.asm.grid.interior_idx
-    active = (u <= psi) & (r > 0.0)
-    keep = np.flatnonzero(~active[interior])
-    return r, active, keep, float(np.max(np.abs(r[interior[keep]]), initial=0.0))
-
-
-def _newton_step(asm, lu, u, r, keep):
-    """The step on the free interior nodes ``interior[keep]`` with the
-    factored Newton matrix ``lu``."""
-    rhs = np.zeros(len(asm.grid.interior_idx))
-    rhs[keep] = -r[asm.grid.interior_idx[keep]]  # zero on the active nodes
-    return asm.pattern.solve(lu, rhs, u)[keep]
-
-
-def _trial(asm, u, free, d, psi, delta):
-    """The state at ``u`` moved by ``d`` on the ``free`` nodes and
-    projected onto u >= psi there."""
-    values = u.copy()
-    values[free] = np.maximum(u[free] + d, psi[free])
-    return _State(asm, values, delta)
-
-
-def _newton(asm, u, delta, tol, psi, history, energies):
+def _newton(asm, u, delta, tol, history, energies):
     """Projected damped Newton on the energy at regularisation ``delta``.
 
     Each step holds the contact set fixed as identity rows and projects
@@ -328,8 +331,9 @@ def _newton(asm, u, delta, tol, psi, history, energies):
     rounding level, and this close to the solution the matrix of an earlier
     iterate and contact set serves as well as a new one. Appends the
     residual of every kept iterate to ``history`` and the energy after
-    every kept step to ``energies``; returns (u, steps, r, failure): ``r``
-    the residual at u, ``failure`` None or why the loop stopped short.
+    every kept step to ``energies``; returns (state, steps, failure):
+    ``state`` the :class:`_State` of the last kept iterate, ``failure`` None
+    or why the loop stopped short.
 
     The law is evaluated once per field (:class:`_State`): the start, each
     Armijo trial and each closing trial. The accepted trial's state gives
@@ -346,7 +350,7 @@ def _newton(asm, u, delta, tol, psi, history, energies):
     interior = asm.grid.interior_idx
     wide = asm.pattern.bw >= WIDE_BAND
     state = _State(asm, u, delta)
-    r, active, keep, rn = _free_residual(state, psi)
+    active, keep, rn = state.free
     history.append(rn)
     steps, failure = 0, None
     chord, factored = False, None  # factored: the contact set of the factor
@@ -356,13 +360,12 @@ def _newton(asm, u, delta, tol, psi, history, energies):
             break
         if not (chord and np.array_equal(active, factored)):
             lu = None  # drop the last factor first: one band is alive at a time
-            lu, factored = asm.pattern.factor(state.jacobian(active), u), active
-        d = _newton_step(asm, lu, u, r, keep)
-        free = interior[keep]
-        slope = float(np.dot(r[free], d))
+            lu, factored = asm.pattern.factor(state.jacobian(active), state.values), active
+        d = state.step(lu)
+        slope = float(np.dot(state.residual[interior[keep]], d))
         # Armijo backtracking along the projected path; skip the test
         # where rounding noise wins
-        tau, trial = 1.0, _trial(asm, u, free, d, psi, delta)
+        tau, trial = 1.0, state.moved(d, delta)
         e0 = state.energy
         if abs(slope) > 1e-13 * (1.0 + abs(e0)):
             for _bt in range(60):
@@ -370,61 +373,96 @@ def _newton(asm, u, delta, tol, psi, history, energies):
                     break
                 tau *= 0.5
                 trial = None  # one trial state is alive at a time
-                trial = _trial(asm, u, free, tau * d, psi, delta)
+                trial = state.moved(tau * d, delta)
             else:
                 failure = f"line search stalled at residual {rn:.3e}"
                 break
         state, steps = trial, steps + 1
-        u = state.values
         energies.append(state.energy)
         rn_last = rn
-        r, active, keep, rn = _free_residual(state, psi)
+        active, keep, rn = state.free
         history.append(rn)
         chord = wide and tau == 1.0 and rn <= REUSE_CONTRACTION * rn_last
     if failure is not None and rn > ACCEPT_TOL:
-        return u, steps, r, f"{failure} (delta={delta:g})"
+        return state, steps, f"{failure} (delta={delta:g})"
     closing = steps > 0
     while closing and rn > 0.0:
         trial = None
-        trial = _trial(asm, u, interior[keep], _newton_step(asm, lu, u, r, keep), psi, delta)
-        r_trial, _, keep_trial, rn_trial = _free_residual(trial, psi)
+        trial = state.moved(state.step(lu), delta)
+        rn_trial = trial.free[2]
         halved = rn_trial <= 0.5 * rn
         if rn_trial < rn:
-            state, r, keep, rn, steps = trial, r_trial, keep_trial, rn_trial, steps + 1
-            u = state.values
+            state, rn, steps = trial, rn_trial, steps + 1
             history.append(rn)
             energies.append(state.energy)
         closing = wide and halved and steps < NEWTON_CAP
-    return u, steps, r, None
+    return state, steps, None
 
 
-def _solve(asm, start, psi, newton_tol, notes=""):
-    """Minimize the energy over u >= psi with the Dirichlet data of the
-    nodal ``start`` (the Dirichlet problem is psi = -inf) by projected
-    Newton from ``start`` lifted onto psi, at the delta of
-    ``DELTA_SCHEDULE``. If that loop fails, restart from the same start and
-    walk ``RESTART_DELTAS`` down to it, as the viscosity route walks its
-    gradient floors. Returns (field, report), the report's
-    ``residual_norm`` the loop's own last measure; raises
+def _solve(spec, newton_tol):
+    """Minimize the energy over u >= psi (the Dirichlet problem is
+    psi = -inf) by projected Newton at the delta of ``DELTA_SCHEDULE``,
+    from the nested start of :func:`solve_dirichlet` or else
+    :func:`grids.poisson_start`, lifted onto psi. If that loop fails,
+    restart from the same start and walk ``RESTART_DELTAS`` down to it, as
+    the viscosity route walks its gradient floors. Returns (field, report),
+    the report's ``residual_norm`` the loop's own last measure; raises
     :class:`NonConvergence` with the field and a failed report when a
     restarted level fails or the contact set is not complementarity-clean.
+    The nested start recurses here, not through the public name, so that a
+    request is one call of it.
     """
-    grid = asm.grid
+    grid = spec.grid
     interior = grid.interior_idx
-    start[interior] = np.maximum(start[interior], psi[interior])
+    asm = _Assembler(spec)  # checks the coefficient before the boundary data are read
+    g_values = spec.dirichlet_values()
+    # the spec checked this at construction, but its obstacle and boundary
+    # values are arrays that the caller can still change in place
+    if np.any(asm.psi[grid.boundary_idx] > g_values + 1e-12):
+        raise InfeasibleObstacle("obstacle exceeds the boundary data on the boundary")
+    start, notes = None, ""
+    # coarsening halves a 2D band (nx - 1), and a 1D band (1) is never wide;
+    # the half-resolution solve is skipped where its grid coarsens, as the
+    # fine loop takes no more factorizations from a quarter-resolution
+    # start. Obstacle solves do not nest: their coarse levels cost more
+    # than the fine steps they save (ROADMAP.md, baseline)
+    levels, wide = [grid], spec.obstacle is None and asm.pattern.bw >= 2 * WIDE_BAND
+    while wide and len(levels) < 3 and all(n % 2 and n >= 5 for n in levels[-1].shape):
+        levels.append(levels[-1].coarsen())
+    if len(levels) > 1:
+        coarse = levels[-1]
+        nodal = np.zeros(grid.n_nodes)
+        nodal[grid.boundary_idx] = g_values
+        stride = slice(None, None, 2 ** (len(levels) - 1))
+        sub = nodal.reshape(grid.shape[::-1])[(stride,) * grid.dim].reshape(-1)
+        coarse_spec = replace(spec, grid=coarse, boundary=BoundaryData.from_values(sub[coarse.boundary_idx]))
+        try:
+            start = _solve(coarse_spec, newton_tol)[0].values
+        except (NonConvergence, LinearSolveFailure):
+            pass
+        else:
+            for level in levels[-2::-1]:
+                start = _prolong(level, start)
+            start[grid.boundary_idx] = g_values
+            notes = f"warm start: {'x'.join(map(str, coarse.shape))} solve"
+    if start is None:
+        start = poisson_start(grid, g_values, spec.epsilon)
+    start[interior] = np.maximum(start[interior], asm.psi[interior])
     history, energies, deltas = [], [], list(DELTA_SCHEDULE)
-    u, steps, r, failure = _newton(asm, start, deltas[-1], newton_tol, psi, history, energies)
+    state, steps, failure = _newton(asm, start, deltas[-1], newton_tol, history, energies)
     if failure is not None:
         u = start
         for delta in RESTART_DELTAS + DELTA_SCHEDULE:
             deltas.append(delta)
             energies.clear()  # the energies of the last level only
-            u, more, r, failure = _newton(asm, u, delta, newton_tol, psi, history, energies)
+            state, more, failure = _newton(asm, u, delta, newton_tol, history, energies)
+            u = state.values
             steps += more
             if failure is not None:
                 break
-    r = r[interior]
-    contact = u[interior] <= psi[interior]
+    u = state.values
+    r = state.residual[interior]
+    contact = u[interior] <= asm.psi[interior]
     if failure is None and np.any(contact) and float(np.min(r[contact])) < -CONTRACT_TOL:
         failure = "active set did not settle to a complementarity-clean state"
     rn = history[-1]  # max |r| off {u <= psi, r > 0} at u, the loop's stop measure
@@ -448,59 +486,26 @@ def _solve(asm, start, psi, newton_tol, notes=""):
 def solve_dirichlet(spec, newton_tol=NEWTON_TOL):
     """Solve the unconstrained Dirichlet problem; returns (field, report).
 
-    When every axis has an odd node count of at least 5 and the
-    half-resolution grid still has a wide band (2D grids from 129 nodes
-    across), the Newton loop starts from a coarse problem's solution
-    (nested iteration): on the quarter-resolution grid where the
-    half-resolution grid coarsens too (129^2 from 33^2), else on the
-    half-resolution grid (129 x 7 from 65 x 4). The coarse problem takes
-    the boundary data at its nodes, is solved by these same rules, and
-    its multilinear interpolant, taken once per level, with the boundary
-    data restored, is the start. Elsewhere, or if the coarse solve fails,
-    the loop starts from :func:`grids.poisson_start`. The report's
-    ``iterations`` and ``residual_history`` describe the requested grid
-    only, and its ``notes`` name the coarse solve.
+    The solve is the obstacle solve's projected Newton loop with
+    psi = -inf. When every axis has an odd node count of at least 5 and
+    the half-resolution grid still has a wide band (2D grids from 129 nodes
+    across), the loop starts from a coarse problem's solution (nested
+    iteration): on the quarter-resolution grid where the half-resolution
+    grid coarsens too (129^2 from 33^2), else on the half-resolution grid
+    (129 x 7 from 65 x 4). The coarse problem takes the boundary data at
+    its nodes, is solved by these same rules, and its multilinear
+    interpolant, taken once per level, with the boundary data restored, is
+    the start. Elsewhere, or if the coarse solve fails, the loop starts
+    from :func:`grids.poisson_start`. The report's ``iterations`` and
+    ``residual_history`` describe the requested grid only, and its
+    ``notes`` name the coarse solve.
     """
     if spec.obstacle is not None:
         raise ValidationError("solve_dirichlet expects a spec without an obstacle")
     if spec.boundary is None:
         raise ValidationError("solve_dirichlet needs boundary data")
     _strict_gate(spec)
-    return _dirichlet(spec, newton_tol)
-
-
-def _dirichlet(spec, newton_tol):
-    """:func:`solve_dirichlet` after its checks. The nested start recurses
-    here, not through the public name, so that a request is one call of it."""
-    grid = spec.grid
-    asm = _Assembler(spec)  # checks the coefficient before the boundary data are read
-    g_values = spec.boundary.values_on(grid)
-    start, notes = None, ""
-    # coarsening halves a 2D band (nx - 1), and a 1D band (1) is never wide;
-    # the half-resolution solve is skipped where its grid coarsens, as the
-    # fine loop takes no more factorizations from a quarter-resolution start
-    levels, wide = [grid], asm.pattern.bw >= 2 * WIDE_BAND
-    while wide and len(levels) < 3 and all(n % 2 and n >= 5 for n in levels[-1].shape):
-        levels.append(levels[-1].coarsen())
-    if len(levels) > 1:
-        coarse = levels[-1]
-        nodal = np.zeros(grid.n_nodes)
-        nodal[grid.boundary_idx] = g_values
-        stride = slice(None, None, 2 ** (len(levels) - 1))
-        sub = nodal.reshape(grid.shape[::-1])[(stride,) * grid.dim].reshape(-1)
-        coarse_spec = replace(spec, grid=coarse, boundary=BoundaryData.from_values(sub[coarse.boundary_idx]))
-        try:
-            start = _dirichlet(coarse_spec, newton_tol)[0].values
-        except (NonConvergence, LinearSolveFailure):
-            pass
-        else:
-            for level in levels[-2::-1]:
-                start = _prolong(level, start)
-            start[grid.boundary_idx] = g_values
-            notes = f"warm start: {'x'.join(map(str, coarse.shape))} solve"
-    if start is None:
-        start = poisson_start(grid, g_values, spec.epsilon)
-    return _solve(asm, start, np.full(grid.n_nodes, -np.inf), newton_tol, notes)
+    return _solve(spec, newton_tol)
 
 
 def _prolong(grid, coarse_values):
@@ -539,14 +544,7 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL):
     if spec.obstacle is None:
         raise ValidationError("solve_obstacle needs an obstacle")
     _strict_gate(spec)
-    asm = _Assembler(spec)
-    psi = spec.obstacle.values
-    g_values = spec.dirichlet_values()
-    # the spec checked this at construction, but its obstacle and boundary
-    # values are arrays that the caller can still change in place
-    if np.any(psi[spec.grid.boundary_idx] > g_values + 1e-12):
-        raise InfeasibleObstacle("obstacle exceeds the boundary data on the boundary")
-    return _solve(asm, poisson_start(spec.grid, g_values, spec.epsilon), psi, newton_tol)
+    return _solve(spec, newton_tol)
 
 
 def complementarity_summary(field, spec, delta=DELTA_SCHEDULE[-1]):

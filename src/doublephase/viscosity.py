@@ -21,12 +21,12 @@ policy iteration) plus the derivative of the coefficients and the
 first-order term through the centered gradient, with one-sided
 derivatives at the floor and the policy switch. An Armijo line search on
 the squared residual globalizes it, and a continuation in the gradient
-floor, from 1 down to h, takes over when that line search stalls.
+floor, from 1 down to h, takes over when that line search stalls. Each
+iterate's residual, frozen weights and Newton matrix read one ``_Scheme``.
 """
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -219,30 +219,6 @@ def _coefficient_fields(spec, allow_nonconstant):
     return a_nodes, ga_nodes
 
 
-class _Local(NamedTuple):
-    """The scheme read off the centered gradient ``eta`` of one field, per
-    interior node: modulus ``norm`` = |eta|, floored modulus m, direction
-    w = eta/m, the law S and ``gam``, the diagonal and mixed entries of
-    M = S I + Gamma w w^T, the mixed-stencil ``policy`` (NE-SW pair where
-    M12 >= 0), the axis and sign-adapted mixed second differences, the
-    diagonal (``centre``) weight and the first-order term (0.0 for a
-    constant coefficient). Vectors are (dim, n); 1D has no mixed entry
-    (``m12`` = ``dxy`` = 0)."""
-
-    eta: np.ndarray
-    norm: np.ndarray
-    m: np.ndarray
-    w: np.ndarray
-    gam: np.ndarray
-    mdiag: np.ndarray
-    m12: object
-    policy: object
-    d2: np.ndarray
-    dxy: object
-    centre: np.ndarray
-    first: object
-
-
 def _offsets(dim):
     """The 3^dim node offsets (dx[, dy]) of a node's neighbourhood, x
     fastest: W C E in 1D, SW S SE W C E NW N NE in 2D."""
@@ -251,7 +227,7 @@ def _offsets(dim):
 
 class _Stencil:
     """Interior 3-point (1D) or 9-point (2D) pattern of the scheme on one
-    grid, built once.
+    grid, built once: the geometry every :class:`_Scheme` on it reads.
 
     Row k of ``nbr`` holds the neighbor at offset k of :func:`_offsets`
     of every interior node. A weight array W with one row per offset is
@@ -274,68 +250,79 @@ class _Stencil:
         self.pattern = InteriorPattern(grid, offsets, symmetric=False)
         self.nbr = self.pattern.steps[:, None] + grid.interior_idx[None, :]
 
-    def local(self, u, p, q, a, ga, dv):
-        """The scheme at the centered gradient of ``u`` with gradient floor
-        ``dv``; ``a``/``ga`` are given at interior nodes, and ``ga`` is None
-        for a constant a, whose first-order term is identically 0."""
-        uv = u[self.nbr]
-        up, um, uc = uv[self.plus], uv[self.minus], uv[self.centre]
-        eta = (up - um) / (2.0 * self.h)
-        norm = np.sqrt((eta * eta).sum(axis=0))
-        m = np.maximum(norm, dv)
-        w = eta / m
-        S, gam = flux_coefficients(p, q, a, m)
-        mdiag = S + gam * w * w
-        d2 = (up - 2.0 * uc + um) / self.h2
-        if self.grid.dim == 1:
-            m12 = dxy = 0.0
-            policy = None
+
+class _Scheme:
+    """The scheme read off the centered gradient ``eta`` of one field ``u``
+    with gradient floor ``dv``, per interior node of ``stencil``: modulus
+    ``norm`` = |eta|, floored modulus m, direction w = eta/m, the law S and
+    ``gam``, the diagonal and mixed entries of M = S I + Gamma w w^T, the
+    mixed-stencil ``policy`` (NE-SW pair where M12 >= 0), the axis and
+    sign-adapted mixed second differences, the diagonal (``centre``)
+    weight, the first-order term (0.0 for a constant coefficient) and the
+    ``residual`` F - eps. ``law`` is (p, q, a, ga) with ``a``/``ga`` given
+    at interior nodes, and ``ga`` None for a constant a, whose first-order
+    term is identically 0. Vectors are (dim, n); 1D has no mixed entry
+    (``m12`` = ``dxy`` = 0)."""
+
+    def __init__(self, stencil, u, law, dv, eps):
+        p, q, a, ga = law
+        self.stencil, self.law = stencil, law
+        uv = u[stencil.nbr]
+        up, um, uc = uv[stencil.plus], uv[stencil.minus], uv[stencil.centre]
+        self.eta = (up - um) / (2.0 * stencil.h)
+        self.norm = np.sqrt((self.eta * self.eta).sum(axis=0))
+        self.m = np.maximum(self.norm, dv)
+        self.w = self.eta / self.m
+        S, self.gam = flux_coefficients(p, q, a, self.m)
+        self.mdiag = S + self.gam * self.w * self.w
+        self.d2 = (up - 2.0 * uc + um) / stencil.h2
+        if stencil.grid.dim == 1:
+            self.m12 = self.dxy = 0.0
+            self.policy = None
         else:
             # sign-adapted mixed difference: the NE-SW pair when M12 >= 0,
             # the NW-SE pair otherwise, so every off-diagonal weight is <= 0
-            m12 = gam * w[0] * w[1]
-            policy = m12 >= 0.0
+            self.m12 = self.gam * self.w[0] * self.w[1]
+            self.policy = self.m12 >= 0.0
             cross = (up + um).sum(axis=0) - 2.0 * uc
-            dxy = np.where(policy, uv[0] + uv[8] - cross, cross - uv[2] - uv[6]) / (2.0 * self.hxy)
-        centre = 2.0 * (mdiag / self.h2).sum(axis=0) - 2.0 * np.abs(m12) / self.hxy
-        first = 0.0 if ga is None else first_order_term(q, m, eta.T, ga)
-        return _Local(eta, norm, m, w, gam, mdiag, m12, policy, d2, dxy, centre, first)
+            self.dxy = np.where(self.policy, uv[0] + uv[8] - cross, cross - uv[2] - uv[6]) / (2.0 * stencil.hxy)
+        self.centre = 2.0 * (self.mdiag / stencil.h2).sum(axis=0) - 2.0 * np.abs(self.m12) / stencil.hxy
+        self.first = 0.0 if ga is None else first_order_term(q, self.m, self.eta.T, ga)
+        self.residual = -((self.mdiag * self.d2).sum(axis=0) + 2.0 * self.m12 * self.dxy) - self.first - eps
 
-    @staticmethod
-    def residual(loc, eps):
-        """F - eps at every interior node."""
-        return -((loc.mdiag * loc.d2).sum(axis=0) + 2.0 * loc.m12 * loc.dxy) - loc.first - eps
-
-    def weights(self, loc):
-        """Frozen weights W, one row per offset: W u = -tr(M D^2 u) with
-        M, the policy and the floor held at their values in ``loc``."""
-        c = loc.mdiag / self.h2
-        cm = np.abs(loc.m12) / self.hxy
-        W = np.empty(self.nbr.shape)
-        W[self.plus] = W[self.minus] = cm - c
-        W[self.centre] = loc.centre
-        if self.grid.dim == 2:
-            W[0] = W[8] = np.where(loc.policy, -cm, 0.0)
-            W[2] = W[6] = np.where(loc.policy, 0.0, -cm)
+    def weights(self):
+        """Frozen weights W, one row per stencil offset: W u = -tr(M D^2 u)
+        with M, the policy and the floor held at their values here."""
+        st = self.stencil
+        c = self.mdiag / st.h2
+        cm = np.abs(self.m12) / st.hxy
+        W = np.empty(st.nbr.shape)
+        W[st.plus] = W[st.minus] = cm - c
+        W[st.centre] = self.centre
+        if st.grid.dim == 2:
+            W[0] = W[8] = np.where(self.policy, -cm, 0.0)
+            W[2] = W[6] = np.where(self.policy, 0.0, -cm)
         return W
 
-    def jacobian(self, loc, p, q, a, ga):
-        """Band of the Newton matrix dR/du_int at ``loc``: the frozen weights
-        W plus the derivative of W u - T through the centered gradient, which
+    def jacobian(self):
+        """Band of the Newton matrix dR/du_int here: the frozen weights W
+        plus the derivative of W u - T through the centered gradient, which
         only touches the axis neighbors. The policy stays fixed; below the
         floor m does not move (dm = 0) and w = eta/dv."""
-        W = self.weights(loc)
-        dm = np.where(loc.norm >= loc.m, loc.w, 0.0)
-        dS, dgam = flux_coefficient_derivatives(p, q, a, loc.m)
-        Dw = loc.d2 * loc.w + loc.dxy * loc.w[::-1]  # D^2 u w with D^2 u = [[d2x, dxy], [dxy, d2y]]
-        wDw = (loc.w * Dw).sum(axis=0)
-        g = (dS * loc.d2.sum(axis=0) + dgam * wDw) * dm + 2.0 * loc.gam * (Dw - dm * wDw) / loc.m
+        p, q, a, ga = self.law
+        st, w, m = self.stencil, self.w, self.m
+        W = self.weights()
+        dm = np.where(self.norm >= m, w, 0.0)
+        dS, dgam = flux_coefficient_derivatives(p, q, a, m)
+        Dw = self.d2 * w + self.dxy * w[::-1]  # D^2 u w with D^2 u = [[d2x, dxy], [dxy, d2y]]
+        wDw = (w * Dw).sum(axis=0)
+        g = (dS * self.d2.sum(axis=0) + dgam * wDw) * dm + 2.0 * self.gam * (Dw - dm * wDw) / m
         if ga is not None:
-            g += first_order_term_gradient(q, loc.m, loc.eta.T, ga, dm.T).T
-        g /= 2.0 * self.h  # d eta_j / d u at the +h_j and -h_j neighbors
-        W[self.plus] -= g
-        W[self.minus] += g
-        return self.pattern.fill(W)
+            g += first_order_term_gradient(q, m, self.eta.T, ga, dm.T).T
+        g /= 2.0 * st.h  # d eta_j / d u at the +h_j and -h_j neighbors
+        W[st.plus] -= g
+        W[st.minus] += g
+        return st.pattern.fill(W)
 
 
 def _rounding_floor(centre, u):
@@ -345,54 +332,55 @@ def _rounding_floor(centre, u):
     return ROUNDING_ULPS * np.finfo(float).eps * scale
 
 
-def _newton(stencil, u, law, dv, eps, tol, max_iter, history):
+def _newton(stencil, u, law, dv, eps, tol, history):
     """Semismooth Newton on R(u) = F(u) - eps at gradient floor ``dv``,
     globalized by an Armijo line search on |R|^2 / 2 whose trials only
     evaluate R. Appends the residual after every step to ``history``;
     returns (u, residual, status) with status "converged", "stalled" (the
-    line search found no decrease) or "capped" (``max_iter`` steps taken
-    in all)."""
+    line search found no decrease) or "capped" (``MAX_NEWTON_ITER`` steps
+    taken in all)."""
     interior = stencil.grid.interior_idx
-    loc = stencil.local(u, *law, dv)
-    r = stencil.residual(loc, eps)
+    scheme = _Scheme(stencil, u, law, dv, eps)
     while True:
+        r = scheme.residual
         residual = float(np.max(np.abs(r)))
-        if residual <= max(tol, _rounding_floor(loc.centre, u)):
+        if residual <= max(tol, _rounding_floor(scheme.centre, u)):
             return u, residual, "converged"
-        if len(history) >= max_iter:
+        if len(history) >= MAX_NEWTON_ITER:
             return u, residual, "capped"
-        d = stencil.pattern.solve(stencil.pattern.factor(stencil.jacobian(loc, *law), u), -r, u)
+        d = stencil.pattern.solve(stencil.pattern.factor(scheme.jacobian(), u), -r, u)
         phi = float(r @ r)
         trial = u.copy()
         t = 1.0
         for _ in range(MAX_BACKTRACK):
             trial[interior] = u[interior] + t * d
-            loc_t = stencil.local(trial, *law, dv)
-            r_t = stencil.residual(loc_t, eps)
+            trial_scheme = _Scheme(stencil, trial, law, dv, eps)
+            r_t = trial_scheme.residual
             if float(r_t @ r_t) <= (1.0 - 2.0 * ARMIJO * t) * phi:
                 break
             t *= 0.5
         else:
             return u, residual, "stalled"
-        u, loc, r = trial, loc_t, r_t
-        history.append(float(np.max(np.abs(r))))
+        u, scheme = trial, trial_scheme
+        history.append(float(np.max(np.abs(scheme.residual))))
 
 
-def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_nonconstant=False):
+def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
     """Semismooth Newton on the scheme; (field, report).
 
     Each step solves the Newton matrix of R(u) = F(u) - eps (the frozen
     M-matrix plus the derivative through the centered gradient) and takes
     the largest step 2^-k that passes an Armijo test on |R|^2 / 2. It
     stops once max |F - eps| is at most ``tol`` (or the rounding floor of
-    the scheme, if larger). The gradient floor is the grid spacing h, so
-    consistency error and regularization error vanish together under
-    refinement. If the line search stalls at floor h, the solve restarts
-    from the warm start and walks the floors of ``FLOOR_SCHEDULE`` above h,
-    then h. ``iterations`` counts every Newton step taken and
-    ``delta_schedule`` lists the floors visited. The scheme is monotone
-    with its coefficients frozen only (see the module docstring), and
-    ``energy`` is NaN: the discrete energy is the variational route's.
+    the scheme, if larger), and fails after ``MAX_NEWTON_ITER`` steps in
+    all. The gradient floor is the grid spacing h, so consistency error
+    and regularization error vanish together under refinement. If the
+    line search stalls at floor h, the solve restarts from the warm start
+    and walks the floors of ``FLOOR_SCHEDULE`` above h, then h.
+    ``iterations`` counts every Newton step taken and ``delta_schedule``
+    lists the floors visited. The scheme is monotone with its
+    coefficients frozen only (see the module docstring), and ``energy`` is
+    NaN: the discrete energy is the variational route's.
     """
     if spec.obstacle is not None:
         raise ValidationError("the viscosity solver has no obstacle support")
@@ -413,12 +401,12 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_noncon
     start = poisson_start(grid, spec.boundary.values_on(grid), eps / (1.0 + a))
     history = []
     floors = [h]
-    u, residual, status = _newton(stencil, start, law, h, eps, tol, max_iter, history)
+    u, residual, status = _newton(stencil, start, law, h, eps, tol, history)
     if status == "stalled":
         u = start
         for dv in [f for f in FLOOR_SCHEDULE if f > h] + [h]:
             floors.append(dv)
-            u, residual, status = _newton(stencil, u, law, dv, eps, tol, max_iter, history)
+            u, residual, status = _newton(stencil, u, law, dv, eps, tol, history)
             if status != "converged":
                 break
     converged = status == "converged"
@@ -436,7 +424,7 @@ def solve_viscosity(spec, tol=SCHEME_TOL, max_iter=MAX_NEWTON_ITER, allow_noncon
         notes=notes,
     )
     if not converged:
-        reason = "the line search stalled" if status == "stalled" else f"{max_iter} steps were taken"
+        reason = "the line search stalled" if status == "stalled" else f"{MAX_NEWTON_ITER} steps were taken"
         raise NonConvergence(
             f"Newton did not reach tol={tol:g}: {reason} at residual {residual:.3e} "
             f"(gradient floor {floors[-1]:g})",

@@ -353,6 +353,20 @@ class TestMain:
         cfg.write_text(LINEAR_1D.format(out=tmp_path))
         assert main(["solve-var", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command, reason", [
+        ("study:comparison", "obstacle exceeds the boundary data"),
+        ("study:caccioppoli", "obstacle lives on a different grid"),
+    ])
+    def test_study_error_exit_2_without_csv(self, tmp_path, capsys, command, reason):
+        # the study raises InfeasibleObstacle or GridMismatch on a spec with
+        # an obstacle: a configuration error, not a traceback, and no table
+        cfg = tmp_path / "obstacle.cfg"
+        cfg.write_text(STUDY_TEMPLATE.format(dimension=2, study="")
+                       .replace("[study]", "obstacle = 0.1 - (x-0.5)^2\n[study]"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert reason in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_regularization_study_route(self, tmp_path):
         cfg = tmp_path / "reg.cfg"
         cfg.write_text(

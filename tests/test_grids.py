@@ -385,7 +385,7 @@ class TestInteriorPattern:
         # rejects a solution that overflows
         grid = Grid((6, 5))
         pattern = InteriorPattern(grid, [(0, 0)], symmetric)
-        band = pattern.fill([diagonal])
+        band = pattern.fill([np.full(len(grid.interior_idx), diagonal)])
         state = np.linspace(0.0, 1.0, grid.n_nodes)
         with pytest.raises(LinearSolveFailure, match=reason) as info:
             if reason == "non-finite":

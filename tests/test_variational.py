@@ -660,7 +660,7 @@ class TestSolveDirichlet:
     def test_failed_coarse_solve_falls_back_to_the_poisson_start(self, monkeypatch):
         g = Grid((129, 9))
         spec = ProblemSpec(grid=g, params=const_params(2.5, 3.0, a0=1.0), boundary=smooth_bd())
-        inner = variational._dirichlet
+        inner = variational._solve
         coarse = []
 
         def failing(sub, newton_tol):
@@ -669,12 +669,12 @@ class TestSolveDirichlet:
                 raise NonConvergence("coarse solve failed", field=None, report=None)
             return inner(sub, newton_tol)
 
-        monkeypatch.setattr(variational, "_dirichlet", failing)
+        monkeypatch.setattr(variational, "_solve", failing)
         u, rep = solve_dirichlet(spec)
         assert coarse == [(33, 3)]
         assert rep.converged and rep.notes == ""
         assert rep.residual_norm == np.max(np.abs(residual(u, spec, delta=DELTA_SCHEDULE[-1])))
-        monkeypatch.setattr(variational, "_dirichlet", inner)
+        monkeypatch.setattr(variational, "_solve", inner)
         v, _ = solve_dirichlet(spec)
         assert np.max(np.abs(u.values - v.values)) <= 1e-10
 

@@ -31,6 +31,7 @@ from doublephase.viscosity import (
     Quadratic,
     SecondOrderJet,
     TouchingQuadratic,
+    _Scheme,
     _Stencil,
     consistency_check,
     doubling_penalty,
@@ -246,15 +247,15 @@ class TestFrozenSystem:
         law = (pr.p, pr.q, pr.coeff.value(pts), pr.coeff.grad_value(pts))
         stencil = _Stencil(grid)
         h = float(np.max(grid.spacing))
-        loc = stencil.local(field.values, *law, h)
-        W = stencil.weights(loc)
+        loc = _Scheme(stencil, field.values, law, h, eps)
+        W = loc.weights()
         K = dense_from_band(stencil.pattern.fill(W), symmetric=False)
         diag = np.diag(K)
         assert np.all(diag > 0.0)
         assert np.all(K - np.diag(diag) <= 0.0)
         assert np.all(K.sum(axis=1) >= -1e-12 * diag)
         scheme = np.sum(W * field.values[stencil.nbr], axis=0) - loc.first - eps
-        residual = stencil.residual(loc, eps)
+        residual = loc.residual
         np.testing.assert_allclose(residual, scheme, rtol=0.0,
                                    atol=1e-12 * (1.0 + float(np.max(diag)) * 2.0))
         for k, node in enumerate(interior):
@@ -278,7 +279,7 @@ class TestFrozenSystem:
         moduli = np.sqrt(sum(g[(slice(1, -1),) * grid.dim] ** 2 for g in grads)).ravel()
         dv = max(float(np.quantile(moduli, rank)), 1e-2)
         stencil = _Stencil(grid)
-        J = dense_from_band(stencil.jacobian(stencil.local(field.values, *law, dv), *law), symmetric=False)
+        J = dense_from_band(_Scheme(stencil, field.values, law, dv, 0.0).jacobian(), symmetric=False)
 
         def residual_at(values, node):
             return local_equation(NodalField(grid, values), pr, node, dv=dv)[0]
@@ -624,14 +625,15 @@ class TestSolver:
         _u, rep = solve_viscosity(spec)
         assert rep.converged and np.isnan(rep.energy)
 
-    def test_nonconvergence_carries_partial_state(self):
+    def test_nonconvergence_carries_partial_state(self, monkeypatch):
         g = Grid((33, 33))
         spec = ProblemSpec(
             grid=g, params=const_params(2.5, 3.0, a0=1.0),
             boundary=BoundaryData.from_callable(lambda pts: np.sin(2 * np.pi * pts[:, 0])),
         )
+        monkeypatch.setattr(viscosity, "MAX_NEWTON_ITER", 2)
         with pytest.raises(NonConvergence) as info:
-            solve_viscosity(spec, max_iter=2)
+            solve_viscosity(spec)
         assert info.value.field is not None
         assert info.value.report.iterations == 2
 
