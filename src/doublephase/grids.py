@@ -21,6 +21,7 @@ start of both: at p = q = 2 both reduce to the discrete Poisson problem,
 which it solves by sine transforms, with no band.
 """
 
+import io
 import math
 from functools import cached_property
 
@@ -41,7 +42,9 @@ __all__ = [
     "read_field",
 ]
 
-_MAGIC = "DPFIELD v1"
+# field file magic lines: v2 (binary payload) is written, v1 (text) still read
+_MAGIC_V2 = "DPFIELD v2"
+_MAGIC_V1 = "DPFIELD v1"
 
 # The element types of a cell, per dimension. Each is the vertex offsets
 # (dx[, dy]) from the cell's first node, and per axis the (tail, head)
@@ -447,43 +450,91 @@ def interpolate(grid, g):
 
 
 def write_field(field, destination):
-    """Plain-text field file; round-trips losslessly.
+    """Binary field file (``DPFIELD v2``); round-trips bit for bit.
 
-    Line 1: magic, line 2: ``dim nx [ny]``, line 3: per-axis intervals
-    ``x0 x1 [y0 y1]``, then one value per line in row-major node order.
+    Three ASCII lines: the magic, ``dim nx [ny]``, and per axis ``lower
+    extent`` written with :meth:`float.hex`, so that the grid comes back
+    exactly. Then the values as little-endian ``<f8`` bytes in row-major
+    node order, the idea of numpy's ``.npy`` format.
     """
     grid = field.grid
-    lines = [_MAGIC]
-    lines.append(" ".join([str(grid.dim)] + [str(s) for s in grid.shape]))
-    pieces = []
-    for d in range(grid.dim):
-        pieces.append(format(grid.lower[d], ".17g"))
-        pieces.append(format(grid.upper[d], ".17g"))
-    lines.append(" ".join(pieces))
-    values = field.values.tolist()
-    # 17 significant digits, one value per line, in one formatting call
-    text = "\n".join(lines) + "\n" + ("%.16e\n" * len(values)) % tuple(values)
-    with open(destination, "w", encoding="ascii") as f:
-        f.write(text)
+    bounds = " ".join(float(x).hex() for pair in zip(grid.lower, grid.extent) for x in pair)
+    head = f"{_MAGIC_V2}\n{grid.dim} {' '.join(map(str, grid.shape))}\n{bounds}\n"
+    with open(destination, "wb") as f:
+        f.write(head.encode("ascii"))
+        f.write(field.values.astype("<f8", copy=False).tobytes())
 
 
 def read_field(source):
-    """Parse a field file written by :func:`write_field`."""
-    with open(source, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != _MAGIC:
-        raise MalformedHeader(f"missing '{_MAGIC}' magic line")
-    if len(lines) < 3:
+    """Read a field file written by :func:`write_field`, or a plain-text
+    ``DPFIELD v1`` file (header lines as in v2, but per axis ``lower upper``
+    in decimal, then one decimal value per line).
+
+    Raises :class:`MalformedHeader` for a header that does not parse or
+    that no :class:`Grid` matches, :class:`CountMismatch` for a value count
+    (v2: a payload length) other than the header's node count, and
+    :class:`InvalidField` for a non-numeric or non-finite value.
+    """
+    with open(source, "rb") as f:
+        data = f.read()
+    if data.startswith(_MAGIC_V2.encode("ascii") + b"\n"):
+        return _read_v2(data)
+    return _read_v1(data.decode("ascii", "replace"))
+
+
+def _read_v2(data):
+    # the payload may hold 0x0a bytes: split off the three header lines only
+    lines = data.split(b"\n", 3)
+    if len(lines) < 4:
         raise MalformedHeader("truncated header")
-    head = lines[1].split()
+    dim_line, bounds_line = (ln.decode("ascii", "replace") for ln in lines[1:3])
+    shape = _shape(dim_line)
+    tokens = bounds_line.split()
+    try:
+        nums = [float.fromhex(t) for t in tokens]
+    except ValueError as exc:
+        raise MalformedHeader(f"bad extent line: {bounds_line!r}") from exc
+    # only float.hex's own form: fromhex would read a decimal "0.5" as 0x0.5
+    if len(nums) != 2 * len(shape) or any(x.hex() != t for x, t in zip(nums, tokens)):
+        raise MalformedHeader(f"bad extent line: {bounds_line!r}")
+    grid = _header_grid(shape, nums[0::2], nums[1::2])
+    payload = lines[3]
+    if len(payload) != 8 * grid.n_nodes:
+        raise CountMismatch(
+            f"expected {grid.n_nodes} values ({8 * grid.n_nodes} bytes), file holds {len(payload)} bytes"
+        )
+    return NodalField(grid, np.frombuffer(payload, dtype="<f8").astype(float))
+
+
+def _shape(line):
+    """The grid shape on a ``dim nx [ny]`` header line."""
+    head = line.split()
     try:
         dim = int(head[0])
         shape = tuple(int(t) for t in head[1:])
-    except ValueError as exc:
-        raise MalformedHeader(f"bad dimension line: {lines[1]!r}") from exc
+    except (IndexError, ValueError) as exc:
+        raise MalformedHeader(f"bad dimension line: {line!r}") from exc
     if dim not in (1, 2) or len(shape) != dim:
-        raise MalformedHeader(f"bad dimension line: {lines[1]!r}")
+        raise MalformedHeader(f"bad dimension line: {line!r}")
+    return shape
+
+
+def _header_grid(shape, lower, extent):
+    try:
+        return Grid(shape, lower=lower, extent=extent)
+    except ValueError as exc:
+        raise MalformedHeader(f"header names no valid grid: {exc}") from exc
+
+
+def _read_v1(text):
+    lines = [ln.strip() for ln in io.StringIO(text, newline=None)]
+    lines = [ln for ln in lines if ln]
+    if not lines or lines[0] != _MAGIC_V1:
+        raise MalformedHeader(f"missing '{_MAGIC_V2}' or '{_MAGIC_V1}' magic line")
+    if len(lines) < 3:
+        raise MalformedHeader("truncated header")
+    shape = _shape(lines[1])
+    dim = len(shape)
     try:
         nums = [float(t) for t in lines[2].split()]
     except ValueError as exc:
@@ -492,7 +543,7 @@ def read_field(source):
         raise MalformedHeader(f"bad extent line: {lines[2]!r}")
     lower = np.array(nums[0::2])
     upper = np.array(nums[1::2])
-    grid = Grid(shape, lower=lower, extent=upper - lower)
+    grid = _header_grid(shape, lower, upper - lower)
     body = lines[3:]
     if len(body) != grid.n_nodes:
         raise CountMismatch(

@@ -327,6 +327,17 @@ class TestMain:
         c2 = (tmp_path / "b" / "study_comparison.csv").read_bytes()
         assert c1 == c2
 
+    def test_field_file_determinism(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(STUDY_2D.format(out="."))
+        fields = []
+        for sub in ("a", "b"):
+            code = main(["solve-var", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / sub)])
+            assert code == 0
+            fields.append((tmp_path / sub / "study_solution.field").read_bytes())
+        assert fields[0] == fields[1]
+        assert fields[0].startswith(b"DPFIELD v2\n")
+
     def test_no_temp_files_left(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(LINEAR_1D.format(out=tmp_path))

@@ -199,24 +199,56 @@ def field_files(draw):
     return NodalField(grid, values)
 
 
+def write_v1(field, path):
+    """A ``DPFIELD v1`` text file, as the v1 writer wrote it: per axis the
+    lower and upper end to 17 significant digits, then one ``%.16e`` value
+    per line."""
+    grid = field.grid
+    bounds = " ".join(format(x, ".17g") for pair in zip(grid.lower, grid.upper) for x in pair)
+    lines = ["DPFIELD v1", " ".join(map(str, (grid.dim,) + grid.shape)), bounds]
+    path.write_text("\n".join(lines + [format(v, ".16e") for v in field.values]) + "\n")
+
+
+def write_v2(path, dims, bounds, payload):
+    """A ``DPFIELD v2`` file from its raw header lines and payload bytes."""
+    path.write_bytes(f"DPFIELD v2\n{dims}\n{bounds}\n".encode("ascii") + payload)
+
+
+# headers that parse but that Grid rejects: (dimension line, v1 interval
+# line, v2 lower/extent line, Grid's complaint)
+GRID_REJECTS = [
+    ("1 2", "0 1", f"{0.0.hex()} {1.0.hex()}", "at least 3 nodes"),
+    ("1 3", "1 0", f"{1.0.hex()} {0.0.hex()}", "strictly positive"),
+    ("1 3", "0 inf", f"{0.0.hex()} inf", "must be finite"),
+]
+
+
+@pytest.fixture(scope="class")
+def field_dir(tmp_path_factory):
+    """One directory for all examples of a property test."""
+    return tmp_path_factory.mktemp("fields")
+
+
 class TestSerialization:
     @settings(max_examples=200)
     @given(field_files())
-    def test_round_trip_is_bit_identical(self, tmp_path_factory, field):
-        path = tmp_path_factory.mktemp("rt") / "field.txt"
-        write_field(field, path)
-        back = read_field(path)
+    def test_round_trip_is_bit_identical(self, field_dir, field):
+        path = field_dir / "field"
         grid = field.grid
-        assert back.grid.shape == grid.shape
-        # bit patterns, so that -0.0 and 0.0 differ
-        np.testing.assert_array_equal(back.values.view(np.uint64), field.values.view(np.uint64))
-        np.testing.assert_array_equal(back.grid.lower.view(np.uint64), grid.lower.view(np.uint64))
-        np.testing.assert_array_equal(back.grid.upper.view(np.uint64), grid.upper.view(np.uint64))
-        np.testing.assert_array_equal(back.grid.coords, grid.coords)
-        assert back.grid.compatible_with(grid)
+        for writer in (write_field, write_v1):
+            writer(field, path)
+            back = read_field(path)
+            assert back.grid.shape == grid.shape
+            # bit patterns, so that -0.0 and 0.0 differ
+            np.testing.assert_array_equal(back.values.view(np.uint64), field.values.view(np.uint64))
+            np.testing.assert_array_equal(back.grid.lower.view(np.uint64), grid.lower.view(np.uint64))
+            np.testing.assert_array_equal(back.grid.upper.view(np.uint64), grid.upper.view(np.uint64))
+            np.testing.assert_array_equal(back.grid.coords, grid.coords)
+            assert back.grid.compatible_with(grid)
+            if writer is write_field:
+                # only v2 stores the extent; v1 gives back upper - lower
+                np.testing.assert_array_equal(back.grid.extent.view(np.uint64), grid.extent.view(np.uint64))
 
-    @pytest.mark.xfail(strict=True, reason="the file stores lower and upper; "
-                       "upper - lower need not give back the extent (0.1 + 0.2 - 0.1)")
     def test_extent_round_trips_bitwise(self, tmp_path):
         grid = Grid((3,), lower=(0.1,), extent=(0.2,))
         write_field(NodalField(grid, np.zeros(3)), tmp_path / "field.txt")
@@ -240,6 +272,13 @@ class TestSerialization:
         write_field(f, path)
         np.testing.assert_array_equal(read_field(path).values, f.values)
 
+    def test_v2_layout(self, tmp_path):
+        g = Grid((3, 4), lower=(0.1, -2.0), extent=(0.2, 3.0))
+        f = NodalField(g, np.arange(12.0) - 5.5)
+        write_field(f, tmp_path / "f")
+        head = b"DPFIELD v2\n2 3 4\n0x1.999999999999ap-4 0x1.999999999999ap-3 -0x1.0000000000000p+1 0x1.8000000000000p+1\n"
+        assert (tmp_path / "f").read_bytes() == head + f.values.astype("<f8").tobytes()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -252,25 +291,38 @@ class TestSerialization:
         with pytest.raises(MalformedHeader):
             read_field(path)
 
+    @pytest.mark.parametrize("dims, v1_bounds, v2_bounds, complaint", GRID_REJECTS)
+    def test_header_grid_rejects_are_malformed_headers(self, tmp_path, dims, v1_bounds, v2_bounds, complaint):
+        n = int(dims.split()[1])
+        (tmp_path / "v1").write_text(f"DPFIELD v1\n{dims}\n{v1_bounds}\n" + "0\n" * n)
+        write_v2(tmp_path / "v2", dims, v2_bounds, np.zeros(n).tobytes())
+        for version in ("v1", "v2"):
+            with pytest.raises(MalformedHeader, match=complaint) as info:
+                read_field(tmp_path / version)
+            assert isinstance(info.value.__cause__, ValueError)
+
     def test_truncated_values(self, tmp_path):
         g = Grid((5,))
         f = NodalField(g, np.ones(5))
         path = tmp_path / "f.txt"
-        write_field(f, path)
+        write_v1(f, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(CountMismatch):
             read_field(path)
 
     def test_body_matches_per_value_format(self, tmp_path):
+        # the v1 body is one %.16e value per line, which reads back bit for bit
         g = Grid((len(SPECIAL_VALUES),))
-        write_field(NodalField(g, SPECIAL_VALUES), tmp_path / "f.txt")
+        write_v1(NodalField(g, SPECIAL_VALUES), tmp_path / "f.txt")
         body = (tmp_path / "f.txt").read_text().split("\n")[3:]
         assert body == [format(v, ".16e") for v in SPECIAL_VALUES] + [""]
+        back = read_field(tmp_path / "f.txt").values
+        np.testing.assert_array_equal(back.view(np.uint64), np.array(SPECIAL_VALUES).view(np.uint64))
 
     def test_two_numbers_on_a_line(self, tmp_path):
         path = tmp_path / "f.txt"
-        write_field(NodalField(Grid((5,)), np.ones(5)), path)
+        write_v1(NodalField(Grid((5,)), np.ones(5)), path)
         lines = path.read_text().splitlines()
         lines[4] = "1.0 2.0"
         path.write_text("\n".join(lines) + "\n")
@@ -280,7 +332,7 @@ class TestSerialization:
     def test_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "f.txt"
         f = NodalField(Grid((5,)), np.arange(5.0) - 2.0)
-        write_field(f, path)
+        write_v1(f, path)
         path.write_text("\n\n".join(path.read_text().splitlines()) + "\n\n  \n")
         np.testing.assert_array_equal(read_field(path).values, f.values)
 
@@ -288,12 +340,57 @@ class TestSerialization:
         g = Grid((5,))
         f = NodalField(g, np.ones(5))
         path = tmp_path / "f.txt"
-        write_field(f, path)
+        write_v1(f, path)
         lines = path.read_text().splitlines()
         lines[4] = "nan"  # second value line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidField):
             read_field(path)
+
+    @pytest.mark.parametrize("cut", [-8, -1, 1, 8])
+    def test_v2_payload_length_mismatch(self, tmp_path, cut):
+        path = tmp_path / "f"
+        write_field(NodalField(Grid((5,)), np.ones(5)), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+        with pytest.raises(CountMismatch):
+            read_field(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_v2_non_finite_value(self, tmp_path, bad):
+        values = np.ones(5)
+        values[2] = bad
+        write_v2(tmp_path / "f", "1 5", f"{0.0.hex()} {1.0.hex()}", values.astype("<f8").tobytes())
+        with pytest.raises(InvalidField):
+            read_field(tmp_path / "f")
+
+    @pytest.mark.parametrize("bounds", [
+        f"{0.0.hex()} one",             # not hexadecimal
+        f"{0.0.hex()} 0.5",             # decimal, which fromhex would read as 0x0.5
+        f"{0.0.hex()}",                 # one number short
+        "",                             # no numbers at all
+    ])
+    def test_v2_bad_extent_line(self, tmp_path, bounds):
+        write_v2(tmp_path / "f", "1 3", bounds, np.zeros(3).tobytes())
+        with pytest.raises(MalformedHeader):
+            read_field(tmp_path / "f")
+
+    @pytest.mark.parametrize("data", [b"DPFIELD v2\n", b"DPFIELD v2\n1 3\n", b"DPFIELD v2\n\n\n"])
+    def test_v2_truncated_header(self, tmp_path, data):
+        (tmp_path / "f").write_bytes(data)
+        with pytest.raises(MalformedHeader):
+            read_field(tmp_path / "f")
+
+    def test_v2_payload_with_newline_bytes_round_trips(self, tmp_path):
+        # every payload byte is 0x0a but the sign byte of one value, so a
+        # reader that splits the payload on lines fails
+        values = np.frombuffer(b"\n" * 8 * 9, dtype="<f8").astype(float)
+        values[4] = -values[4]
+        f = NodalField(Grid((3, 3)), values)
+        write_field(f, tmp_path / "f")
+        assert (tmp_path / "f").read_bytes().count(b"\n") == 3 + 8 * 9 - 1
+        back = read_field(tmp_path / "f")
+        np.testing.assert_array_equal(back.values.view(np.uint64), values.view(np.uint64))
 
 
 @st.composite
