@@ -289,8 +289,11 @@ class Expression:
         self._partials = {}
 
     def __call__(self, pts):
+        # a pole or an overflow gives inf or nan, not a warning: the callers'
+        # finiteness checks raise the typed error
         pts = np.asarray(pts, dtype=float)
-        return self._node.eval(pts)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self._node.eval(pts)
 
     def partial(self, axis):
         if axis not in self._partials:

@@ -378,6 +378,20 @@ class TestMain:
         assert reason in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["study:caccioppoli", "study:equivalence"])
+    def test_pole_on_a_refined_grid_exits_2_without_warning(self, tmp_path, capsys, command):
+        # x = 0.0625 is no node of the 9 x 9 config grid, so the config
+        # probe passes; it is a node of the 17^2 grid the study refines to.
+        # The pole gives inf there, not a numpy warning (an error under the
+        # test config), and the boundary data's finiteness check exits 2
+        cfg = tmp_path / "pole.cfg"
+        cfg.write_text(STUDY_TEMPLATE.format(dimension=2, study="")
+                       .replace("0.5*x + 0.3*y", "1 + (x - 0.0625)^-1"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: boundary data must be finite at every boundary node\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_regularization_study_route(self, tmp_path):
         cfg = tmp_path / "reg.cfg"
         cfg.write_text(

@@ -58,6 +58,72 @@ def linear_bd():
     return BoundaryData.from_callable(lambda pts: pts[:, 0])
 
 
+PROLONG_SHAPES = [(9,), (5, 9), (9, 5), (17, 17), (17, 9)]
+
+
+def prolong_grid(shape):
+    return Grid(shape, lower=(0.5, -1.0)[:len(shape)], extent=(1.0, 0.75)[:len(shape)])
+
+
+def prolong_chains(grid):
+    """The grids a nested start prolongs through, finest first: one level
+    down, and two where the coarse grid coarsens again (as ``_solve``)."""
+    chains = [[grid, grid.coarsen()]]
+    if all(n % 2 and n >= 5 for n in chains[0][-1].shape):
+        chains.append(chains[0] + [chains[0][-1].coarsen()])
+    return chains
+
+
+def prolong_through(chain, values):
+    for level in chain[-2::-1]:
+        values = variational._prolong(level, values)
+    return values
+
+
+def assert_keeps_coarse_values(chain, values):
+    """Every node of the coarsest grid in ``chain`` keeps its value bit for bit."""
+    fine = prolong_through(chain, values).reshape(chain[0].shape[::-1])
+    stride = (slice(None, None, 2 ** (len(chain) - 1)),) * chain[0].dim
+    np.testing.assert_array_equal(fine[stride].reshape(-1), values)
+
+
+def exact_degrees(chain):
+    """Per axis, the polynomial degree that prolongation through ``chain``
+    reproduces: cubic where every coarse level has at least 4 nodes on the
+    axis, linear where one has 3."""
+    return [3 if min(level.shape[i] for level in chain[1:]) >= 4 else 1 for i in range(chain[0].dim)]
+
+
+def multilinear_prolong(grid, coarse_values):
+    """Linear interpolation along one axis after the other: the nested
+    start's interpolation before it was cubic, kept as a reference."""
+    u = coarse_values.reshape(tuple((n + 1) // 2 for n in grid.shape[::-1]))
+    for axis in range(grid.dim):
+        u = np.moveaxis(u, axis, 0)
+        fine = np.empty((2 * len(u) - 1,) + u.shape[1:])
+        fine[::2] = u
+        fine[1::2] = 0.5 * (u[:-1] + u[1:])
+        u = np.moveaxis(fine, 0, axis)
+    return u.reshape(-1)
+
+
+# the fine-var benchmark's coefficient 0.6 + 0.4 x + 0.2 sin(pi y)^2 and
+# its tilted boundary datum
+FINE_VAR_COEFF = CoefficientField.analytic(
+    lambda pts: 0.6 + 0.4 * pts[..., 0] + 0.2 * np.sin(np.pi * pts[..., 1]) ** 2
+)
+TILTED_BD = BoundaryData.from_callable(
+    lambda pts: 0.6 * pts[:, 0] - 0.2 * pts[:, 1] + 0.3 * np.sin(np.pi * pts[:, 0])
+)
+# the four fine-var problems (p, q, a, eps, boundary datum), unmapped and unshifted
+FINE_VAR_SLOTS = (
+    (2.5, 3.0, CoefficientField.constant(1.0), 0.0, smooth_bd()),
+    (2.0, 2.8, FINE_VAR_COEFF, 1.0, TILTED_BD),
+    (1.6, 2.2, FINE_VAR_COEFF, 0.0, TILTED_BD),
+    (1.5, 1.8, CoefficientField.constant(0.7), 1.0, smooth_bd()),
+)
+
+
 class TestEnergy:
     def test_zero_field(self):
         g = Grid((17,))
@@ -645,7 +711,7 @@ class TestSolveDirichlet:
         v, plain = solve_dirichlet(spec)
         assert set(factors) == {(129, 129)} and plain.notes == ""
         assert np.max(np.abs(u.values - v.values)) <= 1e-10
-        assert 2 * nested <= len(factors)  # 3 of 8 and 2 of 4 here
+        assert 2 * nested <= len(factors)  # 2 of 8 and 2 of 4 here
 
     def test_nested_start_takes_explicit_boundary_values(self):
         g = Grid((129, 9))
@@ -678,25 +744,75 @@ class TestSolveDirichlet:
         v, _ = solve_dirichlet(spec)
         assert np.max(np.abs(u.values - v.values)) <= 1e-10
 
-    @pytest.mark.parametrize("shape", [(9,), (5, 9), (9, 5), (17, 17), (17, 9)])
-    def test_prolongation_is_multilinear(self, shape):
-        # coarse nodes keep their values bit for bit, and the interpolant
-        # of a multilinear function (a + b x + c y + d x y) is exact; where
-        # the grid coarsens twice, so are quarter-grid values prolonged twice
-        g = Grid(shape, lower=(0.5, -1.0)[:len(shape)], extent=(1.0, 0.75)[:len(shape)])
-        f = lambda pts: 0.1 + pts @ np.array([0.7, -0.4])[:g.dim] + 0.9 * (g.dim == 2) * np.prod(pts, axis=1)
-        chain = [g, g.coarsen()]
-        if all(n % 2 and n >= 5 for n in chain[-1].shape):
-            chain.append(chain[-1].coarsen())
-        for depth, coarse in enumerate(chain[1:], 1):
-            values = np.random.default_rng(7).uniform(-1.0, 1.0, coarse.n_nodes)
-            fine, interp = values, f(coarse.coords)
-            for level in chain[depth - 1::-1]:
-                fine, interp = variational._prolong(level, fine), variational._prolong(level, interp)
-            fine = fine.reshape(g.shape[::-1])
-            np.testing.assert_array_equal(fine[(slice(None, None, 2 ** depth),) * g.dim].reshape(-1), values)
-            np.testing.assert_allclose(interp, f(g.coords), rtol=0.0, atol=1e-15)
-        assert len(chain) == (2 if shape in [(5, 9), (9, 5)] else 3)  # the two-level case ran
+    @pytest.mark.parametrize("shape", PROLONG_SHAPES)
+    def test_prolongation_is_cubic(self, shape):
+        # coarse nodes keep their values bit for bit, and x^i y^j is
+        # reproduced for i, j <= 3 along axes with at least 4 coarse nodes
+        # (i, j <= 1 on 3-node axes); where the grid coarsens twice, so are
+        # quarter-grid values prolonged twice
+        g = prolong_grid(shape)
+        chains = prolong_chains(g)
+        assert len(chains) == (1 if shape in [(5, 9), (9, 5)] else 2)  # the two-level case runs
+        for chain in chains:
+            assert_keeps_coarse_values(chain, np.random.default_rng(7).uniform(-1.0, 1.0, chain[-1].n_nodes))
+            for powers in np.ndindex(*(d + 1 for d in exact_degrees(chain))):
+                f = lambda pts: np.prod(pts ** np.array(powers), axis=1)
+                np.testing.assert_allclose(prolong_through(chain, f(chain[-1].coords)), f(g.coords),
+                                           rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(PROLONG_SHAPES), st.integers(1, 2), st.data())
+    def test_prolongation_reproduces_random_polynomials(self, shape, depth, data):
+        # a random combination of the reproduced monomials, and random
+        # coarse values that every fine node on the coarse lattice keeps
+        g = prolong_grid(shape)
+        chains = prolong_chains(g)
+        chain = chains[min(depth, len(chains)) - 1]
+        powers = list(np.ndindex(*(d + 1 for d in exact_degrees(chain))))
+        coeffs = data.draw(hnp.arrays(np.float64, len(powers), elements=st.floats(-1.0, 1.0)))
+        f = lambda pts: sum(c * np.prod(pts ** np.array(k), axis=1) for c, k in zip(coeffs, powers))
+        np.testing.assert_allclose(prolong_through(chain, f(chain[-1].coords)), f(g.coords),
+                                   rtol=0.0, atol=1e-14)
+        assert_keeps_coarse_values(chain, data.draw(hnp.arrays(np.float64, chain[-1].n_nodes,
+                                                               elements=st.floats(-1e3, 1e3))))
+
+    @pytest.mark.parametrize("slot", range(len(FINE_VAR_SLOTS)))
+    def test_cubic_start_beats_the_multilinear_start(self, monkeypatch, slot):
+        # on the fine-var problems at 129^2 the loop's start, the 33^2
+        # solve prolonged twice, has a max interior residual at least 3
+        # times below that of the same solve interpolated multilinearly
+        p, q, coeff, eps, bd = FINE_VAR_SLOTS[slot]
+        grid = Grid((129, 129))
+        spec = ProblemSpec(grid=grid, params=DoublePhaseParams(p, q, coeff=coeff), epsilon=eps, boundary=bd)
+        coarse, starts = [], []
+        prolong, newton = variational._prolong, variational._newton
+
+        class Started(Exception):
+            pass
+
+        def recording_prolong(level, values):
+            coarse.append(values.copy())
+            return prolong(level, values)
+
+        def stopping_newton(asm, u, *args):
+            if asm.grid.shape == grid.shape:
+                starts.append(u.copy())
+                raise Started
+            return newton(asm, u, *args)
+
+        monkeypatch.setattr(variational, "_prolong", recording_prolong)
+        monkeypatch.setattr(variational, "_newton", stopping_newton)
+        with pytest.raises(Started):
+            solve_dirichlet(spec)
+        assert len(coarse) == 2 and len(starts) == 1
+        chain = prolong_chains(grid)[1]
+        linear = multilinear_prolong(chain[0], multilinear_prolong(chain[1], coarse[0]))
+        linear[grid.boundary_idx] = spec.boundary.values_on(grid)
+        start_r, linear_r = (
+            np.max(np.abs(residual(NodalField(grid, u), spec, delta=DELTA_SCHEDULE[-1])))
+            for u in (starts[0], linear)
+        )
+        assert 3.0 * start_r <= linear_r
 
     @pytest.mark.parametrize("rows,coarse", [(7, "65x4"), (5, "65x3")])
     def test_half_resolution_start_where_rows_coarsen_once(self, rows, coarse):
