@@ -200,28 +200,25 @@ class _ConfigReader:
         return default
 
 
-def _compile_closure(reader, key, raw, dim, grid):
-    """Expression text -> validated closure, recording diagnostics."""
+def _compile_closure(reader, section, key, raw, dim, grid):
+    """``[section] key`` expression text -> validated closure, recording diagnostics."""
+    line = reader.line(section, key)
     try:
         expr = compile_expression(raw)
     except ParseError as exc:
-        reader.diags.append((reader.line("problem", key), key, str(exc)))
+        reader.diags.append((line, key, str(exc)))
         return None
     if dim == 1 and 1 in expr.variables():
-        reader.diags.append(
-            (reader.line("problem", key), key, "expression uses 'y' on a 1D domain")
-        )
+        reader.diags.append((line, key, "expression uses 'y' on a 1D domain"))
         return None
     if grid is not None:
         try:
             probe = expr(grid.coords)
-        except (ValidationError, DoublePhaseError) as exc:
-            reader.diags.append((reader.line("problem", key), key, str(exc)))
+        except DoublePhaseError as exc:
+            reader.diags.append((line, key, str(exc)))
             return None
         if not np.all(np.isfinite(probe)):
-            reader.diags.append(
-                (reader.line("problem", key), key, "expression is non-finite on the grid")
-            )
+            reader.diags.append((line, key, "expression is non-finite on the grid"))
             return None
     return expr
 
@@ -291,7 +288,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
                 coeff = CoefficientField.constant(a0)
         except ValueError:
             d_for_expr = grid.dim if grid is not None else (dim or 2)
-            expr = _compile_closure(reader, "coefficient", raw_coeff, d_for_expr, grid)
+            expr = _compile_closure(reader, "problem", "coefficient", raw_coeff, d_for_expr, grid)
             if expr is not None:
                 if grid is not None and np.any(expr(grid.coords) < 0.0):
                     reader.diags.append(
@@ -308,24 +305,18 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
             except ValueError as exc:
                 reader.diags.append((reader.line("problem", "p"), "p/q", str(exc)))
 
-    boundary = None
-    raw_boundary = reader.get("problem", "boundary")
-    if raw_boundary is not None and grid is not None:
-        expr = _compile_closure(reader, "boundary", raw_boundary, grid.dim, grid)
-        if expr is not None:
-            boundary = BoundaryData.from_callable(expr)
-
-    obstacle = None
-    raw_obstacle = reader.get("problem", "obstacle")
-    if raw_obstacle is not None and grid is not None:
-        expr = _compile_closure(reader, "obstacle", raw_obstacle, grid.dim, grid)
-        if expr is not None:
-            obstacle = interpolate(grid, expr)
-
-    target = None
-    raw_target = reader.get("study", "target")
-    if raw_target is not None and grid is not None:
-        target = _compile_closure(reader, "target", raw_target, grid.dim, grid)
+    # [problem] boundary and obstacle, and [study] target: expression text,
+    # compiled, probed on the grid, and made into what the run holds
+    made = {}
+    for section, key, make in (("problem", "boundary", BoundaryData.from_callable),
+                               ("problem", "obstacle", lambda expr: interpolate(grid, expr)),
+                               ("study", "target", lambda expr: expr)):
+        raw = reader.get(section, key)
+        expr = None
+        if raw is not None and grid is not None:
+            expr = _compile_closure(reader, section, key, raw, grid.dim, grid)
+        made[key] = None if expr is None else make(expr)
+    boundary, obstacle, target = made["boundary"], made["obstacle"], made["target"]
 
     tolerances = {
         "newton": reader.number("tolerances", "newton", default=None),

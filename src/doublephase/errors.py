@@ -14,11 +14,8 @@ class SingularJacobian(DoublePhaseError):
     (unregularized singular exponent at a vanishing gradient)."""
 
 
-class NonConvergence(DoublePhaseError):
-    """An iterative solve hit its iteration cap.
-
-    Carries the partial state so callers can inspect what was reached.
-    """
+class _SolveFailure(DoublePhaseError):
+    """A failed solve, carrying ``field`` and ``report`` (either may be None)."""
 
     def __init__(self, message, field=None, report=None):
         super().__init__(message)
@@ -26,18 +23,20 @@ class NonConvergence(DoublePhaseError):
         self.report = report
 
 
-class LinearSolveFailure(DoublePhaseError):
+class NonConvergence(_SolveFailure):
+    """An iterative solve hit its iteration cap.
+
+    Carries the partial state so callers can inspect what was reached.
+    """
+
+
+class LinearSolveFailure(_SolveFailure):
     """The inner linear system is singular or not positive definite, or
     its solution is not finite.
 
     Carries the iterate the failing solve started from, like
     :class:`NonConvergence`.
     """
-
-    def __init__(self, message, field=None, report=None):
-        super().__init__(message)
-        self.field = field
-        self.report = report
 
 
 class InfeasibleObstacle(DoublePhaseError):
@@ -69,20 +68,20 @@ class InvalidExponent(DoublePhaseError):
     """Penalty exponent violates its lower bound."""
 
 
-class ParseError(DoublePhaseError):
+class _Diagnosed(DoublePhaseError):
+    """An input error carrying (line, key, reason) ``diagnostics``."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = list(diagnostics or [])
+
+
+class ParseError(_Diagnosed):
     """Configuration text failed to parse.
 
     ``diagnostics`` is a list of (line, key, reason) triples.
     """
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = list(diagnostics or [])
 
-
-class ValidationError(DoublePhaseError):
+class ValidationError(_Diagnosed):
     """A structurally valid input violates a documented invariant."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = list(diagnostics or [])

@@ -95,21 +95,13 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class DoublePhaseParams:
-    """Exponents, Hoelder exponent of the coefficient, coefficient field,
-    and ``delta``, the default gradient regularization length of
-    :func:`a_flux` and :func:`a_flux_jacobian`. Neither solver reads
-    ``delta``: the variational loop regularises at
-    ``variational.DELTA_SCHEDULE`` (``RESTART_DELTAS`` on a restart), and
-    the viscosity loop runs on its own gradient floors.
-
-    Invariants: 1 < p <= q < inf, alpha in (0, 1], delta >= 0.
-    """
+    """Exponents p and q, Hoelder exponent alpha of the coefficient, and the
+    coefficient field; invariants 1 < p <= q < inf and alpha in (0, 1]."""
 
     p: float
     q: float
     alpha: float = 1.0
     coeff: CoefficientField = field(default_factory=lambda: CoefficientField.constant(0.0))
-    delta: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.p) and np.isfinite(self.q)):
@@ -118,8 +110,6 @@ class DoublePhaseParams:
             raise ValueError("exponents must satisfy 1 < p <= q")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        if not (np.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError("delta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -238,15 +228,13 @@ def h_eval(params, x, xi):
     return growth(params.p, params.q, params.coeff.value(x), mag)
 
 
-def a_flux(params, x, xi, delta=None):
+def a_flux(params, x, xi, delta=0.0):
     """Flux A(x, xi) with optional gradient regularization.
 
     With m = sqrt(|xi|^2 + delta^2) the value is
     m^(p-2) xi + a(x) m^(q-2) xi; at delta = 0 this is the exact flux,
     continuous through xi = 0 for p > 1.
     """
-    if delta is None:
-        delta = params.delta
     batch, single = _as_batch(xi)
     a = _coefficient_rows(params, x, batch.shape[0])
     m = np.sqrt(np.sum(batch * batch, axis=1) + delta * delta)
@@ -257,7 +245,7 @@ def a_flux(params, x, xi, delta=None):
     return out[0] if single else out
 
 
-def a_flux_jacobian(params, x, xi, delta=None):
+def a_flux_jacobian(params, x, xi, delta=0.0):
     """Jacobian of the flux in xi: symmetric n-by-n per point.
 
     m^(p-2) (I + (p-2) xi xi^T / m^2) + a(x) m^(q-2) (I + (q-2) xi xi^T / m^2).
@@ -265,8 +253,6 @@ def a_flux_jacobian(params, x, xi, delta=None):
     when delta = 0, p < 2 and the gradient vanishes; for p >= 2 a
     vanishing gradient leaves S I (0^0 = 1 keeps the exponent-2 phases).
     """
-    if delta is None:
-        delta = params.delta
     batch, single = _as_batch(xi)
     m_rows, n = batch.shape
     a = _coefficient_rows(params, x, m_rows)
@@ -292,7 +278,7 @@ def monotonicity_gap(params, x, xi1, xi2):
     """
     b1, single = _as_batch(xi1)
     b2, _ = _as_batch(xi2)
-    d = a_flux(params, x, b1, delta=0.0) - a_flux(params, x, b2, delta=0.0)
+    d = a_flux(params, x, b1) - a_flux(params, x, b2)
     gap = np.sum(d * (b1 - b2), axis=1)
     return gap[0] if single else gap
 

@@ -15,11 +15,7 @@ from .errors import ValidationError
 from .grids import BoundaryData, NodalField, element_gradients, element_means, interpolate
 from .operators import growth, validate_exponents
 from .orlicz import gradient_modular
-from .variational import (
-    ProblemSpec,
-    approximation_sequence,
-    solve_dirichlet,
-)
+from .variational import approximation_sequence, solve_dirichlet
 from .viscosity import solve_viscosity
 
 __all__ = [
@@ -154,13 +150,10 @@ def random_cutoff(seed, lower, extent):
     return zeta, grad_zeta
 
 
-def _refined_spec(spec, times=1):
-    grid = spec.grid
-    for _ in range(times):
-        grid = grid.refine()
+def _refined_spec(spec):
     if spec.boundary is None or not spec.boundary.is_callable:
         raise ValidationError("refinement studies need callable boundary data")
-    return replace(spec, grid=grid)
+    return replace(spec, grid=spec.grid.refine())
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def consistency_check(params, phi, x, h=1e-3):
         raise DegenerateGradient("consistency check needs a nonvanishing gradient")
 
     def flux_component(y, k):
-        return a_flux(params, y, phi.gradient(y), delta=0.0)[k]
+        return a_flux(params, y, phi.gradient(y))[k]
 
     div = 0.0
     for k in range(n):

@@ -180,10 +180,15 @@ class TestParseConfig:
             parse_config(text, command="solve-var")
         assert any("a(x) >= 0" in reason for _l, _k, reason in info.value.diagnostics)
 
-    def test_bad_line_reported_with_number(self):
+    @pytest.mark.parametrize("text, diagnostic", [
+        ("[problem]\nnot a key value line\n", (2, "not a key value line", "expected 'key = value'")),
+        ("[problem]\n= 3\n", (2, "= 3", "empty key")),
+        ("[problem]\np = 2\np = 3\n", (3, "p", "duplicate key")),
+    ], ids=["no-equals", "empty-key", "duplicate-key"])
+    def test_bad_line_reported_with_number(self, text, diagnostic):
         with pytest.raises(ParseError) as info:
-            parse_config("[problem]\nnot a key value line\n", command="solve-var")
-        assert info.value.diagnostics[0][0] == 2
+            parse_config(text, command="solve-var")
+        assert info.value.diagnostics == [diagnostic]
 
     def test_unknown_key_reported(self):
         text = (
@@ -194,6 +199,12 @@ class TestParseConfig:
             parse_config(text, command="solve-var")
         assert any("unknown key" in reason for _l, k, reason in info.value.diagnostics
                    if k == "boundry")
+
+    def test_strict_needs_a_boolean(self):
+        text = STUDY_TEMPLATE.format(dimension=2, study="").replace("q = 3.0", "q = 3.0\nstrict = maybe")
+        with pytest.raises(ValidationError) as info:
+            parse_config(text, command="solve-var")
+        assert info.value.diagnostics == [(7, "strict", "not a boolean: 'maybe'")]
 
     def test_command_conflict(self):
         text = "[run]\ncommand = solve-var\n" + "\n".join(LINEAR_1D.splitlines()[3:]).format(out=".")
@@ -274,6 +285,39 @@ class TestMain:
         cfg.write_text(LINEAR_1D.replace("epsilon = 0.0", "epsilon = 0.0\ndelta = 0.5").format(out=tmp_path))
         assert main(["solve-var", "--config", str(cfg)]) == 2
         assert "delta: unknown key in [problem]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strict, code", [("true", 2), ("false", 0)])
+    def test_strict_exponent_validation(self, tmp_path, capsys, strict, code):
+        # q/p = 1.6 exceeds 1 + alpha/n = 1.5 in 2D: only a strict run
+        # refuses to solve, exits 2 and writes nothing
+        cfg = tmp_path / "strict.cfg"
+        cfg.write_text(STUDY_TEMPLATE.format(dimension=2, study="")
+                       .replace("q = 3.0", f"q = 4.0\nstrict = {strict}"))
+        assert main(["solve-var", "--config", str(cfg), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        if strict == "true":
+            assert err == ("error: strict exponent validation failed: "
+                           "q/p = 1.6 exceeds 1 + alpha/n = 1.5\n")
+            assert not list(tmp_path.glob("run_*"))
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("line, key, value", [
+        (7, "boundary", "0.5*x + ("),
+        (9, "target", "0.5*x + ("),
+        (9, "target", "0.5*y + x^-1"),
+    ])
+    def test_bad_closure_diagnostic_names_its_line(self, tmp_path, capsys, line, key, value):
+        # the boundary replaces line 7, in [problem], and the target follows
+        # as line 9, in [study]: each diagnostic names the line of its key
+        lines = ["[problem]", "dimension = 2", "nodes = 9 9", "p = 2.5", "q = 3.0",
+                 "coefficient = 1.0", "boundary = 0.5*x + 0.3*y", "[study]"]
+        lines[line - 1:line] = [f"{key} = {value}"]
+        cfg = tmp_path / "closure.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code = main(["study:obstacle-approximation", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"  line {line}, {key}: " in capsys.readouterr().err
 
     def test_nonconstant_coefficient_study_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "nc.cfg"

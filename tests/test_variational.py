@@ -42,8 +42,8 @@ FLUX_ORACLE_QUARTERS = {
 }
 
 
-def const_params(p, q, a0=1.0, delta=0.0):
-    return DoublePhaseParams(p, q, coeff=CoefficientField.constant(a0), delta=delta)
+def const_params(p, q, a0=1.0):
+    return DoublePhaseParams(p, q, coeff=CoefficientField.constant(a0))
 
 
 def smooth_bd():
@@ -553,6 +553,27 @@ class TestSolveDirichlet:
         assert len(rep.residual_history) == 4
         assert len(rep.energy_history) == 1
         assert rep.residual_norm == rep.residual_history[-1] > variational.ACCEPT_TOL
+
+    def test_stalled_line_search_carries_its_report(self, monkeypatch):
+        # every moved state reports a NaN energy, so no Armijo test passes
+        # in 60 halvings: the loop at delta = 1e-8 stalls, and so does the
+        # restart at its first level; the error carries what was done
+        class NaNTrials(_State):
+            def moved(self, d, delta):
+                trial = super().moved(d, delta)
+                trial.energy = float("nan")
+                return trial
+
+        monkeypatch.setattr(variational, "_State", NaNTrials)
+        spec = ProblemSpec(grid=Grid((9, 9)), params=const_params(2.5, 3.0),
+                           boundary=smooth_bd(), epsilon=1.0)
+        with pytest.raises(NonConvergence, match="line search stalled") as info:
+            solve_dirichlet(spec)
+        rep = info.value.report
+        assert info.value.field is not None
+        assert rep is not None and not rep.converged
+        assert rep.delta_schedule == (1e-8, 1e-2)
+        assert rep.iterations == 0 and np.isfinite(rep.energy)
 
     def test_unsettled_contact_set_carries_its_report(self, monkeypatch):
         # a negative bound fails the complementarity check on any contact

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
@@ -23,7 +23,7 @@ from doublephase.errors import (
     ValidationError,
 )
 from doublephase.grids import BoundaryData, Grid, InteriorPattern, NodalField, interpolate
-from doublephase.operators import CoefficientField, DoublePhaseParams, a_flux_jacobian, flux_coefficients
+from doublephase.operators import CoefficientField, DoublePhaseParams, a_flux_jacobian, flux_phases
 from doublephase.studies import _normalized_closure, trig_series
 from doublephase.variational import ProblemSpec, solve_dirichlet
 from doublephase import viscosity
@@ -110,6 +110,17 @@ def jet_batches(draw):
     return DoublePhaseParams(p, q, coeff=coeff), x, eta, 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
+def _cancelling_batch():
+    """Five jets at x = 0 for (1.5, 2.25, a = 1) where Gamma = 0.0263 cancels
+    24-fold against its terms' size 0.622 in row 3, the only row with X != 0;
+    the batch can round m^(-1/2) there one ulp away from a single jet."""
+    eta = np.full((5, 2), 2.0)
+    eta[3, 0] = 1.9894402846718116
+    X = np.zeros((5, 2, 2))
+    X[3] = [[0.0, 0.5], [0.5, 0.0]]
+    return DoublePhaseParams(1.5, 2.25, coeff=CoefficientField.constant(1.0)), np.zeros((5, 2)), eta, X
+
+
 class TestNondivEval:
     def test_laplacian_case(self):
         jet = SecondOrderJet(np.zeros(2), np.array([0.3, -0.4]), np.diag([2.0, 5.0]))
@@ -178,9 +189,12 @@ class TestNondivEval:
 
     @settings(max_examples=200)
     @given(jet_batches())
+    @example(_cancelling_batch())
     def test_batch_matches_single_jets(self, case):
         # one batched evaluation and one call per jet agree to a few ulps
-        # of the terms' sizes |S tr X| + |Gamma w.Xw| + |T|
+        # of the uncancelled terms (fp + fq)|tr X| + (|p-2| fp + |q-2| fq)|w.Xw|
+        # + |T|: the phases fp and fq may round one ulp apart in a batch, and
+        # Gamma = (p-2) fp + (q-2) fq may cancel far below their sizes
         pr, x, eta, X = case
         values = nondiv_eval(pr, SecondOrderJet(x, eta, X))
         assert values.shape == x.shape[:-1]
@@ -189,9 +203,10 @@ class TestNondivEval:
             assert isinstance(single, float)
             r = float(np.linalg.norm(eta[i]))
             w = eta[i] / r if r > 0.0 else eta[i]
-            S, gam = flux_coefficients(pr.p, pr.q, pr.coeff.value(x[i]), r)
+            fp, fq = flux_phases(pr.p, pr.q, pr.coeff.value(x[i]), r)
             T = r ** (pr.q - 2.0) * float(eta[i] @ pr.coeff.grad_value(x[i]))
-            scale = abs(S * np.trace(X[i])) + abs(gam * (w @ X[i] @ w)) + abs(T)
+            scale = ((fp + fq) * abs(np.trace(X[i]))
+                     + (abs(pr.p - 2.0) * fp + abs(pr.q - 2.0) * fq) * abs(w @ X[i] @ w) + abs(T))
             assert abs(values[i] - single) <= 4.0 * np.finfo(float).eps * scale
 
     def test_batch_with_one_degenerate_row_raises_below_two(self):
