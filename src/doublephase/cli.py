@@ -200,16 +200,13 @@ class _ConfigReader:
         return default
 
 
-def _compile_closure(reader, section, key, raw, dim, grid):
+def _compile_closure(reader, section, key, raw, grid):
     """``[section] key`` expression text -> validated closure, recording diagnostics."""
     line = reader.line(section, key)
     try:
         expr = compile_expression(raw)
     except ParseError as exc:
         reader.diags.append((line, key, str(exc)))
-        return None
-    if dim == 1 and 1 in expr.variables():
-        reader.diags.append((line, key, "expression uses 'y' on a 1D domain"))
         return None
     if grid is not None:
         try:
@@ -288,7 +285,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
                 coeff = CoefficientField.constant(a0)
         except ValueError:
             d_for_expr = grid.dim if grid is not None else (dim or 2)
-            expr = _compile_closure(reader, "problem", "coefficient", raw_coeff, d_for_expr, grid)
+            expr = _compile_closure(reader, "problem", "coefficient", raw_coeff, grid)
             if expr is not None:
                 if grid is not None and np.any(expr(grid.coords) < 0.0):
                     reader.diags.append(
@@ -314,7 +311,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
         raw = reader.get(section, key)
         expr = None
         if raw is not None and grid is not None:
-            expr = _compile_closure(reader, section, key, raw, grid.dim, grid)
+            expr = _compile_closure(reader, section, key, raw, grid)
         made[key] = None if expr is None else make(expr)
     boundary, obstacle, target = made["boundary"], made["obstacle"], made["target"]
 
@@ -360,7 +357,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
                     grid=grid,
                     params=params,
                     boundary=boundary,
-                    epsilon=epsilon if epsilon is not None else 0.0,
+                    epsilon=epsilon,
                     obstacle=obstacle,
                     strict_validation=strict,
                 )

@@ -28,6 +28,8 @@ _TOKEN = re.compile(
 )
 
 _FUNCTIONS = ("sin", "cos", "abs")
+# the parser's functions, and sign, which differentiating abs adds
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sign": np.sign}
 
 
 def _tokenize(text):
@@ -57,9 +59,6 @@ class _Num:
     def diff(self, axis):
         return _Num(0.0)
 
-    def variables(self):
-        return set()
-
 
 class _Var:
     def __init__(self, axis):
@@ -73,17 +72,11 @@ class _Var:
     def diff(self, axis):
         return _Num(1.0 if axis == self.axis else 0.0)
 
-    def variables(self):
-        return {self.axis}
-
 
 class _Bin:
     def __init__(self, left, right):
         self.left = left
         self.right = right
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
 
 
 class _Add(_Bin):
@@ -123,9 +116,6 @@ class _Neg:
     def diff(self, axis):
         return _Neg(self.arg.diff(axis))
 
-    def variables(self):
-        return self.arg.variables()
-
 
 class _Pow:
     def __init__(self, base, exponent):
@@ -152,9 +142,6 @@ class _Pow:
             return inner
         return _Mul(_Mul(_Num(r), _Pow(self.base, r - 1.0)), inner)
 
-    def variables(self):
-        return self.base.variables()
-
 
 class _Fun:
     def __init__(self, name, arg):
@@ -162,16 +149,7 @@ class _Fun:
         self.arg = arg
 
     def eval(self, pts):
-        v = self.arg.eval(pts)
-        if self.name == "sin":
-            return np.sin(v)
-        if self.name == "cos":
-            return np.cos(v)
-        if self.name == "abs":
-            return np.abs(v)
-        if self.name == "sign":
-            return np.sign(v)
-        raise ParseError(f"unknown function {self.name!r}")
+        return _UFUNCS[self.name](self.arg.eval(pts))
 
     def diff(self, axis):
         inner = self.arg.diff(axis)
@@ -181,12 +159,7 @@ class _Fun:
             return _Neg(_Mul(_Fun("sin", self.arg), inner))
         if self.name == "abs":
             return _Mul(_Fun("sign", self.arg), inner)
-        if self.name == "sign":
-            return _Num(0.0)
-        raise ParseError(f"unknown function {self.name!r}")
-
-    def variables(self):
-        return self.arg.variables()
+        return _Num(0.0)  # sign, from differentiating abs
 
 
 class _Parser:
@@ -308,9 +281,6 @@ class Expression:
             return np.column_stack([p(pts) for p in parts])
 
         return grad
-
-    def variables(self):
-        return self._node.variables()
 
 
 def compile_expression(text):

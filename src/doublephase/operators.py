@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularJacobian
+from .errors import SingularJacobian, ValidationError
 
 __all__ = [
     "CoefficientField",
@@ -31,16 +31,16 @@ __all__ = [
 class CoefficientField:
     """Nonnegative modulating coefficient a(x).
 
-    Either a constant or a pair of closures for a(x) and its gradient.
-    Closures take points of shape (m, n) and return (m,) respectively
-    (m, n); the gradient closure is required wherever the first-order
-    term of the expanded operator is evaluated.
+    Either a constant ``a0`` or a pair of closures for a(x) and its
+    gradient; it is constant exactly when it has no closure. Closures take
+    points of shape (m, n) and return (m,) respectively (m, n); the
+    gradient closure is required wherever the first-order term of the
+    expanded operator is evaluated. a(x) >= 0 is checked wherever a is
+    evaluated: a negative or non-finite value raises
+    :class:`ValidationError`.
     """
 
-    def __init__(self, kind, a0=None, func=None, grad=None):
-        if kind not in ("constant", "analytic"):
-            raise ValueError("kind must be 'constant' or 'analytic'")
-        self.kind = kind
+    def __init__(self, a0=None, func=None, grad=None):
         self.a0 = a0
         self._func = func
         self._grad = grad
@@ -50,18 +50,18 @@ class CoefficientField:
         a0 = float(a0)
         if not np.isfinite(a0) or a0 < 0.0:
             raise ValueError("constant coefficient must be finite and >= 0")
-        return cls("constant", a0=a0)
+        return cls(a0=a0)
 
     @classmethod
     def analytic(cls, func, grad=None):
-        return cls("analytic", func=func, grad=grad)
+        return cls(func=func, grad=grad)
 
     @property
     def is_constant(self):
-        return self.kind == "constant"
+        return self._func is None
 
     def value(self, x):
-        """a at points x, checked nonnegative; shape (m,) for x (m, n)."""
+        """a at points x, checked finite and nonnegative; shape (m,) for x (m, n)."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
@@ -70,9 +70,9 @@ class CoefficientField:
         else:
             out = np.asarray(self._func(pts), dtype=float).reshape(pts.shape[0])
         if not np.all(np.isfinite(out)):
-            raise ValueError("coefficient evaluated to a non-finite value")
+            raise ValidationError("coefficient evaluated to a non-finite value")
         if np.any(out < 0.0):
-            raise ValueError("coefficient must be nonnegative at every point")
+            raise ValidationError("coefficient must be nonnegative at every point")
         return out[0] if single else out
 
     def grad_value(self, x):
@@ -89,7 +89,7 @@ class CoefficientField:
         else:
             out = np.asarray(self._grad(pts), dtype=float).reshape(pts.shape)
         if not np.all(np.isfinite(out)):
-            raise ValueError("coefficient gradient evaluated to a non-finite value")
+            raise ValidationError("coefficient gradient evaluated to a non-finite value")
         return out[0] if single else out
 
 

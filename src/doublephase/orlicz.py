@@ -94,17 +94,17 @@ def luxemburg_norm(field, params, which="values"):
     return lam
 
 
-def norm_modular_bounds_check(field, params, rel_slack=1e-9):
+def norm_modular_bounds_check(field, params):
     """Check min{lam^p, lam^q} <= modular(u) <= max{lam^p, lam^q}.
 
-    Returns (lower_ok, upper_ok) with the stated relative slack.
+    Returns (lower_ok, upper_ok), each with a relative slack of 1e-9.
     """
     rho = modular(field, params)
     lam = luxemburg_norm(field, params, which="values")
     low = min(lam ** params.p, lam ** params.q)
     high = max(lam ** params.p, lam ** params.q)
-    lower_ok = low <= rho * (1.0 + rel_slack) + 1e-300
-    upper_ok = rho <= high * (1.0 + rel_slack) + 1e-300
+    lower_ok = low <= rho * (1.0 + 1e-9) + 1e-300
+    upper_ok = rho <= high * (1.0 + 1e-9) + 1e-300
     return bool(lower_ok), bool(upper_ok)
 
 

@@ -71,14 +71,14 @@ class StudyTable:
         return columns, rows
 
 
-def trig_series(seed, dim, degree=4, scale=1.0):
-    """Smooth seeded boundary closure: truncated trigonometric series in
+def trig_series(seed, dim):
+    """Smooth seeded boundary closure: trigonometric series of degree 4 in
     coordinates normalized to [0, 1], coefficients decaying like 1/k^2."""
     rng = np.random.default_rng(seed)
     c0 = float(rng.uniform(-0.5, 0.5))
     coeffs = []
     for axis in range(dim):
-        for k in range(1, degree + 1):
+        for k in range(1, 5):
             coeffs.append((axis, k, rng.uniform(-1, 1) / k**2, rng.uniform(-1, 1) / k**2))
 
     def closure(pts):
@@ -87,7 +87,7 @@ def trig_series(seed, dim, degree=4, scale=1.0):
         for axis, k, ak, bk in coeffs:
             arg = k * np.pi * t[:, axis]
             out += ak * np.sin(arg) + bk * np.cos(arg)
-        return scale * out
+        return out
 
     return closure
 

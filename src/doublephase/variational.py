@@ -553,15 +553,16 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL):
     return _solve(spec, newton_tol)
 
 
-def complementarity_summary(field, spec, delta=DELTA_SCHEDULE[-1]):
-    """Residual split over contact/non-contact nodes.
+def complementarity_summary(field, spec):
+    """Residual split over contact/non-contact nodes, at the last
+    regularization of ``DELTA_SCHEDULE``.
 
     Returns (max |r| over nodes with u > psi + tol_c, min r over the
     rest); the first should be ~0, the second >= ~0 for a valid solve.
     """
     if spec.obstacle is None:
         raise ValidationError("complementarity_summary needs an obstacle spec")
-    r = _State(_Assembler(spec), field.values, delta).residual
+    r = _State(_Assembler(spec), field.values, DELTA_SCHEDULE[-1]).residual
     interior = spec.grid.interior_idx
     psi = spec.obstacle.values
     on = field.values[interior] <= psi[interior] + contact_tolerance(psi)

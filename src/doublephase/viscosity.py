@@ -174,18 +174,19 @@ def nondiv_eval(params, jet):
     return float(value) if value.ndim == 0 else value
 
 
-def consistency_check(params, phi, x, h=1e-3):
+def consistency_check(params, phi, x):
     """Compare -div A(x, Dphi) (finite differences of the flux field)
     with the expanded operator on phi's exact jet.
 
     Returns (divergence_form_value, nondiv_value, relative_gap). The
-    divergence is a fourth-order central difference of the flux.
+    divergence is a fourth-order central difference of the flux with
+    step h = 1e-3. Raises :class:`DegenerateGradient` where
+    :func:`nondiv_eval` does: at a vanishing gradient for p < 2.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    grad_x = phi.gradient(x)
-    if np.linalg.norm(grad_x) == 0.0 and params.p < 2.0:
-        raise DegenerateGradient("consistency check needs a nonvanishing gradient")
+    h = 1e-3
+    nd_value = nondiv_eval(params, phi.jet(x))
 
     def flux_component(y, k):
         return a_flux(params, y, phi.gradient(y))[k]
@@ -201,22 +202,8 @@ def consistency_check(params, phi, x, h=1e-3):
             + flux_component(x - 2 * e, k)
         ) / (12.0 * h)
     div_value = -div
-    nd_value = nondiv_eval(params, phi.jet(x))
     gap = abs(div_value - nd_value) / max(1.0, abs(div_value), abs(nd_value))
     return div_value, nd_value, gap
-
-
-def _coefficient_fields(spec, allow_nonconstant):
-    params = spec.params
-    if not params.coeff.is_constant and not allow_nonconstant:
-        raise ValidationError(
-            "the viscosity route requires a constant coefficient a(x); "
-            "pass allow_nonconstant=True to run it anyway (experimental)"
-        )
-    grid = spec.grid
-    a_nodes = params.coeff.value(grid.coords)
-    ga_nodes = params.coeff.grad_value(grid.coords)
-    return a_nodes, ga_nodes
 
 
 def _offsets(dim):
@@ -387,12 +374,17 @@ def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
     if spec.boundary is None:
         raise ValidationError("solve_viscosity needs boundary data")
     _strict_gate(spec)
-    a_nodes, ga_nodes = _coefficient_fields(spec, allow_nonconstant)
+    coeff = spec.params.coeff
+    if not coeff.is_constant and not allow_nonconstant:
+        raise ValidationError(
+            "the viscosity route requires a constant coefficient a(x); "
+            "pass allow_nonconstant=True to run it anyway (experimental)"
+        )
     grid = spec.grid
-    interior = grid.interior_idx
-    a = a_nodes[interior]
+    nodes = grid.coords[grid.interior_idx]
+    a = coeff.value(nodes)
     # grad a = 0 for a constant a: skip the first-order term and its gradient
-    ga = None if spec.params.coeff.is_constant else ga_nodes[interior]
+    ga = None if coeff.is_constant else coeff.grad_value(nodes)
     law = (spec.params.p, spec.params.q, a, ga)
     h = float(np.max(grid.spacing))
     eps = spec.epsilon
@@ -412,7 +404,7 @@ def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
     converged = status == "converged"
 
     field = NodalField(grid, u)
-    notes = "" if spec.params.coeff.is_constant else "experimental: non-constant coefficient"
+    notes = "" if coeff.is_constant else "experimental: non-constant coefficient"
     report = SolveReport(
         converged=converged,
         iterations=len(history),
@@ -547,13 +539,14 @@ def generate_touching_quadratics(field, x0, count, rng=None):
     return [TouchingQuadratic(p0, u0, b, k) for b, k in zip(slopes, curvatures)]
 
 
-def touch_test(field, params, count, epsilon=0.0, seed=0, per_node=5):
+def touch_test(field, params, count, epsilon=0.0, seed=0):
     """Pointwise supersolution check on touching quadratics.
 
-    For each quadratic the reported value is the max of -div A(x, Dphi)
-    over the touch node's grid neighbors (the punctured-neighborhood
-    limsup surrogate); pass means value >= epsilon - C_tol * h with
-    C_tol = 10 (1 + max|u|).
+    Up to 5 quadratics touch at each node, the nodes taken in seeded
+    random order until there are ``count``. For each quadratic the
+    reported value is the max of -div A(x, Dphi) over the touch node's
+    grid neighbors (the punctured-neighborhood limsup surrogate); pass
+    means value >= epsilon - C_tol * h with C_tol = 10 (1 + max|u|).
     """
     grid = field.grid
     rng = np.random.default_rng(seed)
@@ -567,7 +560,7 @@ def touch_test(field, params, count, epsilon=0.0, seed=0, per_node=5):
     for node in nodes:
         if len(reports) >= count:
             break
-        take = min(per_node, count - len(reports))
+        take = min(5, count - len(reports))
         try:
             quads = generate_touching_quadratics(field, node, take, rng=rng)
         except NoTouchFound:

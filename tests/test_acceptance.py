@@ -283,7 +283,7 @@ def test_criterion_09_orlicz_layer():
         pr = const_params(p, q, a0)
         for _ in range(334):
             f = NodalField(g, rng.normal(size=g.n_nodes) * rng.lognormal(sigma=1.5))
-            lower_ok, upper_ok = norm_modular_bounds_check(f, pr, rel_slack=1e-9)
+            lower_ok, upper_ok = norm_modular_bounds_check(f, pr)
             bounds_ok = bounds_ok and lower_ok and upper_ok
             lam = luxemburg_norm(f, pr)
             if lam > 0.0:

@@ -64,6 +64,14 @@ boundary = 0.5*x + 0.3*y
 {study}
 """
 
+# a 1D config that a test edits line by line: line 2 is the dimension,
+# 3 the nodes, 6 the coefficient and 7 the boundary
+SMALL_1D = "[problem]\ndimension = 1\nnodes = 9\np = 2.5\nq = 3.0\ncoefficient = 1.0\nboundary = x\n"
+
+# 0.01 at every node of a 9 x 9 grid (x = k/8, where sin(8 pi x) = 0) and
+# -0.74 at every element centroid
+BETWEEN_NODES = "0.01 - sin(25.132741228718345*x)^2"
+
 
 def _grow(children):
     """One grammar step over (text, abs arguments) pairs."""
@@ -171,14 +179,59 @@ class TestParseConfig:
             parse_config(text, command="solve-var")
         assert any("1 < p <= q" in reason for _l, _k, reason in info.value.diagnostics)
 
-    def test_negative_coefficient_diagnostic(self):
-        text = (
-            "[problem]\ndimension = 1\nnodes = 9\np = 2\nq = 3\n"
-            "coefficient = -1.0\nboundary = x\n"
-        )
+    @pytest.mark.parametrize("coefficient, reason", [
+        ("-1.0", "constant coefficient violates a(x) >= 0"),
+        ("x - 0.5", "coefficient expression violates a(x) >= 0 on the grid"),
+    ], ids=["constant", "expression"])
+    def test_negative_coefficient_diagnostic(self, coefficient, reason):
+        text = SMALL_1D.replace("coefficient = 1.0", f"coefficient = {coefficient}")
         with pytest.raises(ValidationError) as info:
             parse_config(text, command="solve-var")
-        assert any("a(x) >= 0" in reason for _l, _k, reason in info.value.diagnostics)
+        assert info.value.diagnostics == [(6, "coefficient", reason)]
+
+    @pytest.mark.parametrize("old, new, diagnostic", [
+        ("nodes = 9", "nodes = 9 9", (3, "nodes", "need 1 node counts, got 2")),
+        ("dimension = 1\nnodes = 9", "dimension = 2\nnodes = 2 2", (3, "nodes", "need at least 3 nodes per axis")),
+        ("boundary = x", "boundary = x\nobstacle = x + 1",
+         (0, "problem", "obstacle exceeds the boundary data on the boundary")),
+        ("boundary = x", "boundary = x\nepsilon = -1", (0, "problem", "epsilon must be finite and >= 0")),
+    ], ids=["node-count", "too-few-nodes", "obstacle-above-boundary", "negative-epsilon"])
+    def test_grid_and_problem_rejections(self, old, new, diagnostic):
+        with pytest.raises(ValidationError) as info:
+            parse_config(SMALL_1D.replace(old, new), command="solve-var")
+        assert info.value.diagnostics == [diagnostic]
+
+    @pytest.mark.parametrize("key, old, new, line", [
+        ("boundary", "boundary = x", "boundary = y", 7),
+        ("coefficient", "coefficient = 1.0", "coefficient = 1 + y", 6),
+        ("target", "boundary = x", "boundary = x\n[study]\ntarget = 0.5*y", 9),
+    ], ids=["boundary", "coefficient", "target"])
+    def test_y_on_a_1d_domain(self, key, old, new, line):
+        # the probe on the grid's nodes reports it, on the key's own line
+        with pytest.raises(ValidationError) as info:
+            parse_config(SMALL_1D.replace(old, new), command="solve-var")
+        assert info.value.diagnostics == [(line, key, "expression uses 'y' on a 1D domain")]
+
+    @pytest.mark.parametrize("command, drop, diagnostic", [
+        ("solve-obstacle", None, (0, "obstacle", "solve-obstacle needs an obstacle expression")),
+        ("solve-var", "boundary = x\n", (0, "boundary", "this command needs boundary data")),
+        ("solve-visc", "boundary = x\n", (0, "boundary", "this command needs boundary data")),
+        ("study:caccioppoli", "boundary = x\n", (0, "boundary", "studies need callable boundary data")),
+    ])
+    def test_command_needs_its_data(self, command, drop, diagnostic):
+        text = SMALL_1D if drop is None else SMALL_1D.replace(drop, "")
+        with pytest.raises(ValidationError) as info:
+            parse_config(text, command=command)
+        assert info.value.diagnostics == [diagnostic]
+
+    @pytest.mark.parametrize("command, reason", [
+        (None, "no command given"),
+        ("solve-fast", "unknown command 'solve-fast'; expected one of " + ", ".join(_COMMANDS)),
+    ])
+    def test_no_or_unknown_command(self, command, reason):
+        with pytest.raises(ValidationError) as info:
+            parse_config(SMALL_1D, command=command)
+        assert info.value.diagnostics == [(0, "command", reason)]
 
     @pytest.mark.parametrize("text, diagnostic", [
         ("[problem]\nnot a key value line\n", (2, "not a key value line", "expected 'key = value'")),
@@ -242,7 +295,7 @@ class TestMain:
 
     @pytest.mark.parametrize("command", [c for c in _COMMANDS if c.startswith("study:")])
     @pytest.mark.parametrize("key, value", [
-        ("dimension", ""), ("dimension", "2 2"),
+        ("dimension", ""), ("dimension", "2 2"), ("dimension", "3"),
         ("refinements", ""), ("trials", ""), ("cutoffs", ""), ("levels", ""),
         ("refinements", "0"), ("refinements", "1"), ("trials", "0"), ("cutoffs", "0"),
         ("levels", "0"), ("levels", "-1"), ("levels", "2 3"),
@@ -318,6 +371,34 @@ class TestMain:
         code = main(["study:obstacle-approximation", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert f"  line {line}, {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "solve-var", "solve-obstacle", "study:comparison", "study:caccioppoli",
+        "study:regularization", "study:obstacle-approximation",
+    ])
+    def test_coefficient_negative_between_nodes_exits_2(self, tmp_path, capsys, command):
+        # the config probe sees a >= 0 at the nodes; the solvers evaluate a
+        # at the element centroids, where the typed error names the invariant
+        text = STUDY_TEMPLATE.format(dimension=2, study="").replace("coefficient = 1.0",
+                                                                    f"coefficient = {BETWEEN_NODES}")
+        if command == "solve-obstacle":
+            text = text.replace("[study]", "obstacle = -1 + 0*x\n[study]")
+        cfg = tmp_path / "between.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: coefficient must be nonnegative at every point\n"
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+    def test_bad_constant_coefficient_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "coefficient.cfg"
+        cfg.write_text(STUDY_TEMPLATE.format(dimension=2, study="")
+                       .replace("coefficient = 1.0", f"coefficient = {value}"))
+        out = tmp_path / "out"
+        assert main(["solve-var", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: configuration is invalid\n  line 7, coefficient: ")
+        assert not out.exists()
 
     def test_nonconstant_coefficient_study_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "nc.cfg"

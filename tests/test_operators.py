@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from doublephase.errors import SingularJacobian
+from doublephase.errors import SingularJacobian, ValidationError
 from doublephase.operators import (
     CoefficientField,
     DoublePhaseParams,
@@ -39,8 +39,22 @@ class TestParams:
 
     def test_analytic_coefficient_rejects_negative_values(self):
         coeff = CoefficientField.analytic(lambda pts: pts[:, 0] - 10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="nonnegative"):
             coeff.value(np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_analytic_coefficient_rejects_non_finite_values(self, bad):
+        coeff = CoefficientField.analytic(
+            lambda pts: np.full(len(pts), bad), lambda pts: np.full(pts.shape, bad)
+        )
+        with pytest.raises(ValidationError, match="coefficient evaluated"):
+            coeff.value(np.array([[0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="coefficient gradient evaluated"):
+            coeff.grad_value(np.array([[0.0, 0.0]]))
+
+    def test_constant_exactly_without_closure(self):
+        assert CoefficientField.constant(0.0).is_constant
+        assert not CoefficientField.analytic(lambda pts: np.ones(len(pts))).is_constant
 
 
 class TestValidateExponents:

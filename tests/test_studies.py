@@ -5,6 +5,7 @@ from doublephase.errors import ValidationError
 from doublephase.grids import BoundaryData, Grid
 from doublephase.operators import CoefficientField, DoublePhaseParams
 from doublephase.studies import (
+    ORDER_TOL,
     StudyTable,
     caccioppoli_study,
     caccioppoli_verdict,
@@ -135,6 +136,17 @@ class TestComparison:
         assert table.verdict
         assert all(np.isnan(row[3]) for row in table.rows)
 
+    @pytest.mark.parametrize("violations, verdict", [
+        ((0.0, float("nan")), True),
+        ((ORDER_TOL, -1.0), True),
+        ((2 * ORDER_TOL, 0.0), False),
+        ((0.0, 2 * ORDER_TOL), False),
+    ])
+    def test_verdict_fails_above_order_tol(self, violations, verdict):
+        # a NaN column (the viscosity route skipped) does not count
+        rows = [(0, 0.5, 0.0, 0.0), (1, 0.5) + violations]
+        assert comparison_verdict(rows) is verdict
+
     def test_reproducible(self):
         t1 = comparison_study(base_spec(n=9), 3, seed=11)
         t2 = comparison_study(base_spec(n=9), 3, seed=11)
@@ -159,6 +171,17 @@ class TestCaccioppoli:
         table = caccioppoli_study(base_spec(n=17), 10, seed=2)
         assert table.verdict
         assert all(np.isfinite(row[4]) for row in table.rows)
+
+    @pytest.mark.parametrize("ratios, verdict", [
+        ({0: [1.0, 2.0], 1: [3.0]}, True),
+        ({0: [1.0, float("inf")], 1: [1.0]}, False),
+        ({0: [1.0], 1: [float("nan")]}, False),
+        ({0: [1.0, 2.0]}, False),
+        ({0: [1.0], 1: [2.5]}, False),
+    ], ids=["stable", "inf", "nan", "level-missing", "unstable"])
+    def test_verdict(self, ratios, verdict):
+        rows = [(level, i, 1.0, 1.0, r) for level, rs in ratios.items() for i, r in enumerate(rs)]
+        assert caccioppoli_verdict(rows) is verdict
 
     def test_zero_cutoff_against_constant_field(self):
         # u constant: lhs = 0 whatever the cutoff

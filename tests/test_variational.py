@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from doublephase import variational
-from doublephase.errors import InfeasibleObstacle, NonConvergence, ValidationError
+from doublephase.errors import GridMismatch, InfeasibleObstacle, NonConvergence, ValidationError
 from doublephase.grids import BoundaryData, Grid, InteriorPattern, NodalField, interpolate
 from doublephase.operators import CoefficientField, DoublePhaseParams
 from doublephase.orlicz import gradient_modular
@@ -1124,6 +1124,38 @@ def envelope_cases(draw):
     if draw(st.booleans()):
         target = np.full(grid.n_nodes, target[0])
     return grid, target, 10.0 ** draw(st.floats(-4.0, 1.0))
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("case", [
+        "dirichlet-with-obstacle", "dirichlet-without-boundary", "obstacle-without-obstacle",
+        "complementarity-without-obstacle", "dirichlet-values-without-data",
+        "no-levels", "target-on-another-grid",
+    ])
+    def test_refused_before_any_solve(self, case):
+        g = Grid((9,))
+        bare = ProblemSpec(grid=g, params=const_params(2.0, 2.5))
+        plain = replace(bare, boundary=linear_bd())
+        constrained = replace(plain, obstacle=NodalField(g, np.full(g.n_nodes, -1.0)))
+        zero = NodalField(g, np.zeros(g.n_nodes))
+        other = NodalField(Grid((11,)), np.zeros(11))
+        call, error, reason = {
+            "dirichlet-with-obstacle": (lambda: solve_dirichlet(constrained), ValidationError,
+                                        "solve_dirichlet expects a spec without an obstacle"),
+            "dirichlet-without-boundary": (lambda: solve_dirichlet(bare), ValidationError,
+                                           "solve_dirichlet needs boundary data"),
+            "obstacle-without-obstacle": (lambda: solve_obstacle(plain), ValidationError,
+                                          "solve_obstacle needs an obstacle"),
+            "complementarity-without-obstacle": (lambda: complementarity_summary(zero, plain), ValidationError,
+                                                 "complementarity_summary needs an obstacle spec"),
+            "dirichlet-values-without-data": (bare.dirichlet_values, ValidationError,
+                                              "spec carries neither boundary data nor an obstacle"),
+            "no-levels": (lambda: approximation_sequence(plain, zero, 0), ValueError, "levels must be >= 1"),
+            "target-on-another-grid": (lambda: approximation_sequence(plain, other, 2), GridMismatch,
+                                       "target lives on a different grid"),
+        }[case]
+        with pytest.raises(error, match=reason):
+            call()
 
 
 class TestApproximationSequence:

@@ -336,6 +336,12 @@ class TestConsistency:
             worst = max(worst, gap)
         assert worst <= 1e-6
 
+    def test_vanishing_gradient_below_two_raises(self):
+        # Dphi(0) = 0: the expanded operator is undefined there for p < 2
+        phi = Quadratic(0.3, np.zeros(2), np.eye(2))
+        with pytest.raises(DegenerateGradient, match="vanishing gradient for p < 2"):
+            consistency_check(const_params(1.5, 3.0, a0=1.0), phi, np.zeros(2))
+
 
 @st.composite
 def ordered_boundary_pairs(draw):
@@ -473,6 +479,26 @@ class TestSolver:
             boundary=BoundaryData.constant(0.0),
         )
         with pytest.raises(ValidationError, match="constant coefficient"):
+            solve_viscosity(spec)
+
+    @pytest.mark.parametrize("case", ["obstacle", "no-boundary", "strict-before-coefficient"])
+    def test_entry_checks(self, case):
+        # each spec is refused before a solve; the strict gate runs ahead of
+        # the constant-coefficient check
+        g = Grid((9, 9))
+        bd = BoundaryData.constant(0.0)
+        spec, reason = {
+            "obstacle": (ProblemSpec(grid=g, params=const_params(2.0, 2.5), boundary=bd,
+                                     obstacle=NodalField(g, np.full(g.n_nodes, -1.0))),
+                         "the viscosity solver has no obstacle support"),
+            "no-boundary": (ProblemSpec(grid=g, params=const_params(2.0, 2.5)),
+                            "solve_viscosity needs boundary data"),
+            "strict-before-coefficient": (
+                ProblemSpec(grid=g, params=DoublePhaseParams(2.0, 4.0, coeff=lin_coeff()), boundary=bd,
+                            strict_validation=True),
+                "strict exponent validation failed"),
+        }[case]
+        with pytest.raises(ValidationError, match=reason):
             solve_viscosity(spec)
 
     def test_nonconstant_override_marks_experimental(self):
