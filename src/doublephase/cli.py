@@ -201,23 +201,26 @@ class _ConfigReader:
 
 
 def _compile_closure(reader, section, key, raw, grid):
-    """``[section] key`` expression text -> validated closure, recording diagnostics."""
+    """``[section] key`` expression text -> (validated closure, its values
+    at the grid nodes), recording diagnostics; (None, None) on failure,
+    and no values without a grid."""
     line = reader.line(section, key)
     try:
         expr = compile_expression(raw)
     except ParseError as exc:
         reader.diags.append((line, key, str(exc)))
-        return None
-    if grid is not None:
-        try:
-            probe = expr(grid.coords)
-        except DoublePhaseError as exc:
-            reader.diags.append((line, key, str(exc)))
-            return None
-        if not np.all(np.isfinite(probe)):
-            reader.diags.append((line, key, "expression is non-finite on the grid"))
-            return None
-    return expr
+        return None, None
+    if grid is None:
+        return expr, None
+    try:
+        probe = expr(grid.coords)
+    except DoublePhaseError as exc:
+        reader.diags.append((line, key, str(exc)))
+        return None, None
+    if not np.all(np.isfinite(probe)):
+        reader.diags.append((line, key, "expression is non-finite on the grid"))
+        return None, None
+    return expr, probe
 
 
 def parse_config(text, command=None, seed_override=None, out_override=None):
@@ -274,28 +277,26 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
     if p is not None and q is not None:
         coeff = None
         raw_coeff = reader.get("problem", "coefficient", default="0")
+        line = reader.line("problem", "coefficient")
         try:
             a0 = float(raw_coeff)
-            if a0 < 0.0:
-                reader.diags.append(
-                    (reader.line("problem", "coefficient"), "coefficient",
-                     "constant coefficient violates a(x) >= 0")
-                )
-            else:
-                coeff = CoefficientField.constant(a0)
         except ValueError:
-            d_for_expr = grid.dim if grid is not None else (dim or 2)
-            expr = _compile_closure(reader, "problem", "coefficient", raw_coeff, grid)
-            if expr is not None:
-                if grid is not None and np.any(expr(grid.coords) < 0.0):
-                    reader.diags.append(
-                        (reader.line("problem", "coefficient"), "coefficient",
-                         "coefficient expression violates a(x) >= 0 on the grid")
-                    )
-                else:
-                    coeff = CoefficientField.analytic(
-                        expr, expr.gradient_callable(d_for_expr)
-                    )
+            a0 = None
+        if a0 is None:
+            expr, probe = _compile_closure(reader, "problem", "coefficient", raw_coeff, grid)
+            if probe is not None and np.any(probe < 0.0):
+                reader.diags.append(
+                    (line, "coefficient", "coefficient expression violates a(x) >= 0 on the grid")
+                )
+            elif expr is not None:
+                d_for_expr = grid.dim if grid is not None else (dim or 2)
+                coeff = CoefficientField.analytic(expr, expr.gradient_callable(d_for_expr))
+        elif not np.isfinite(a0):
+            reader.diags.append((line, "coefficient", f"constant coefficient is not finite: {raw_coeff}"))
+        elif a0 < 0.0:
+            reader.diags.append((line, "coefficient", "constant coefficient violates a(x) >= 0"))
+        else:
+            coeff = CoefficientField.constant(a0)
         if coeff is not None:
             try:
                 params = DoublePhaseParams(p, q, alpha=alpha, coeff=coeff)
@@ -311,7 +312,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
         raw = reader.get(section, key)
         expr = None
         if raw is not None and grid is not None:
-            expr = _compile_closure(reader, section, key, raw, grid)
+            expr, _ = _compile_closure(reader, section, key, raw, grid)
         made[key] = None if expr is None else make(expr)
     boundary, obstacle, target = made["boundary"], made["obstacle"], made["target"]
 

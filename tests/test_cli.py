@@ -390,14 +390,18 @@ class TestMain:
         assert capsys.readouterr().err == "error: coefficient must be nonnegative at every point\n"
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
-    def test_bad_constant_coefficient_exits_2(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value, reason", [
+        ("inf", "constant coefficient is not finite: inf"),
+        ("nan", "constant coefficient is not finite: nan"),
+        ("-0.5", "constant coefficient violates a(x) >= 0"),
+    ], ids=["inf", "nan", "-0.5"])
+    def test_bad_constant_coefficient_exits_2(self, tmp_path, capsys, value, reason):
         cfg = tmp_path / "coefficient.cfg"
         cfg.write_text(STUDY_TEMPLATE.format(dimension=2, study="")
                        .replace("coefficient = 1.0", f"coefficient = {value}"))
         out = tmp_path / "out"
         assert main(["solve-var", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: configuration is invalid\n  line 7, coefficient: ")
+        assert capsys.readouterr().err == f"error: configuration is invalid\n  line 7, coefficient: {reason}\n"
         assert not out.exists()
 
     def test_nonconstant_coefficient_study_exit_2(self, tmp_path, capsys):

@@ -879,17 +879,21 @@ def doubling_cases(draw):
 
 
 class TestDoubling:
-    def _pair(self, n=17):
-        g = Grid((n, n))
+    @staticmethod
+    def _solved(n, datum):
+        """The (2.5, 3, 1) Dirichlet solution on n x n nodes, as the
+        benchmark's doubling data are, with boundary values ``datum``."""
         pr = const_params(2.5, 3.0, a0=1.0)
-        u, _ = solve_dirichlet(
-            ProblemSpec(grid=g, params=pr,
-                        boundary=BoundaryData.from_callable(lambda pts: 0.6 * pts[:, 0] + 0.3 * np.sin(np.pi * pts[:, 0])))
-        )
-        v, _ = solve_dirichlet(
-            ProblemSpec(grid=g, params=pr,
-                        boundary=BoundaryData.from_callable(lambda pts: 0.15 * np.cos(np.pi * pts[:, 1])))
-        )
+        spec = ProblemSpec(grid=Grid((n, n)), params=pr, boundary=BoundaryData.from_callable(datum))
+        return solve_dirichlet(spec)[0], pr
+
+    @staticmethod
+    def _smooth(pts):
+        return 0.5 * pts[:, 0] + 0.3 * pts[:, 1] + 0.2 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
+
+    def _pair(self, n=17):
+        u, pr = self._solved(n, lambda pts: 0.6 * pts[:, 0] + 0.3 * np.sin(np.pi * pts[:, 0]))
+        v, _ = self._solved(n, lambda pts: 0.15 * np.cos(np.pi * pts[:, 1]))
         return u, v, pr
 
     def test_identical_fields_large_penalty(self):
@@ -953,6 +957,61 @@ class TestDoubling:
             r = doubling_penalty(u, v, j, s)
         assert (r.x_index, r.y_index) == (ix, iy)
         assert abs(r.psi_max - psi) <= 1e-12 * (1.0 + abs(psi))
+
+    @pytest.mark.parametrize("cost", [0.0, np.inf], ids=["by-value", "by-rows"])
+    @settings(max_examples=200)
+    @given(doubling_cases(), st.one_of(st.just(viscosity.BLOCK_PAIRS), st.integers(1, 64)))
+    def test_each_path_matches_exhaustive_search(self, cost, case, block_pairs):
+        # VALUE_PAIR_COST = 0 sends every draw to the value-bounded search,
+        # infinity every draw to the row loop
+        u, v, j, s = case
+        ix, iy, psi = doubling_maximizer(u.grid.coords, u.values, v.values, j, s)
+        with mock.patch.object(viscosity, "BLOCK_PAIRS", block_pairs), \
+                mock.patch.object(viscosity, "VALUE_PAIR_COST", cost):
+            r = doubling_penalty(u, v, j, s)
+        assert (r.x_index, r.y_index) == (ix, iy)
+        assert abs(r.psi_max - psi) <= 1e-12 * (1.0 + abs(psi))
+
+    @pytest.mark.parametrize("cost", [None, 0.0, np.inf], ids=["chosen", "by-value", "by-rows"])
+    def test_solved_fields_match_exhaustive_search_bitwise(self, cost):
+        # the benchmark's doubling data at 33^2: the smooth boundary datum
+        # and a wave
+        u, pr = self._solved(33, self._smooth)
+        v, _ = self._solved(33, lambda pts: 0.15 * np.cos(np.pi * pts[:, 1]) + 0.1 * pts[:, 0])
+        g = u.grid
+        s = max(2.0, pr.p / (pr.p - 1.0), pr.q / (pr.q - 1.0)) + 0.5
+        for j in (1.0, 1e2, 1e4):
+            ix, iy, psi = doubling_maximizer(g.coords, u.values, v.values, j, s)
+            with mock.patch.object(viscosity, "VALUE_PAIR_COST",
+                                   viscosity.VALUE_PAIR_COST if cost is None else cost):
+                r = doubling_penalty(u, v, j, s, params=pr)
+            assert (r.x_index, r.y_index) == (ix, iy)
+            assert r.psi_max == psi
+
+    @pytest.mark.parametrize("kind", ["identical", "constant"])
+    @pytest.mark.parametrize("j", [1.0, 1e7])
+    def test_fallback_inputs_take_the_row_loop(self, kind, j):
+        # half of all pairs of identical fields pass the value test, and
+        # every pair of constant fields: the row loop must search them,
+        # within the memory bound of the long 1D row. The identical field
+        # is a solved field scaled so that its slopes stay below the
+        # smallest penalty slope h^(s-1)/s, so the diagonal is the maximum
+        solved, _ = self._solved(65, self._smooth)
+        g = solved.grid
+        if kind == "identical":
+            u = NodalField(g, 1e-4 * solved.values)
+        else:
+            u = NodalField(g, np.full(g.n_nodes, 0.25))
+        tracemalloc.start()
+        try:
+            with mock.patch.object(viscosity, "_search_by_value",
+                                   side_effect=AssertionError("value-bounded search on a fallback input")):
+                r = doubling_penalty(u, u, j, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert (r.x_index, r.y_index, r.psi_max, r.separation) == (0, 0, 0.0, 0.0)
 
     def test_long_1d_row_memory_is_bounded(self):
         # 2049 nodes in one row: the whole pair matrix would be 33.6 MB,
