@@ -316,10 +316,14 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
         made[key] = None if expr is None else make(expr)
     boundary, obstacle, target = made["boundary"], made["obstacle"], made["target"]
 
-    tolerances = {
-        "newton": reader.number("tolerances", "newton", default=None),
-        "gauss_seidel": reader.number("tolerances", "gauss_seidel", default=None),
-    }
+    tolerances = {}
+    for key in ("newton", "gauss_seidel"):
+        tol = reader.number("tolerances", key)
+        if tol is not None and not 0.0 < tol < np.inf:
+            raw = values[("tolerances", key)][0]
+            reader.diags.append((reader.line("tolerances", key), key, f"need a finite number > 0, got {raw!r}"))
+            tol = None
+        tolerances[key] = tol
     dir_cfg = reader.get("output", "directory", default=".")
     out_dir = out_override if out_override is not None else dir_cfg
     prefix = reader.get("output", "prefix", default="run")
@@ -419,11 +423,17 @@ def _write_report(config, report, path):
 
 
 def run(config):
-    """Execute a parsed :class:`RunConfig`; returns the process exit code."""
-    os.makedirs(config.output_dir, exist_ok=True)
-    base = os.path.join(config.output_dir, config.prefix)
+    """Execute a parsed :class:`RunConfig`; returns the process exit code.
+    The directory of the output files is made before the solve; an
+    OSError while it is made or written to exits 2."""
     if config.command not in _COMMANDS:
         print(f"error: unknown command {config.command!r}", file=sys.stderr)
+        return 2
+    base = os.path.join(config.output_dir, config.prefix)
+    try:
+        os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make the output directory: {exc}", file=sys.stderr)
         return 2
     try:
         result = _COMMANDS[config.command](config)
@@ -433,7 +443,15 @@ def run(config):
     except DoublePhaseError as exc:
         _print_diags(exc)
         return 2
+    try:
+        return _write_outputs(config, base, result)
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
 
+
+def _write_outputs(config, base, result):
+    """Write a study's table or a solve's field and report; the exit code."""
     if config.command.startswith("study:"):
         path = base + f"_{result.name}.csv"
         _atomic_write(path, lambda tmp: result.to_csv(tmp, comment=_provenance(config)))

@@ -311,7 +311,12 @@ def _check_field(field, spec):
         raise GridMismatch("field and spec live on different grids")
 
 
-def _strict_gate(spec):
+def _gate(spec, name, tol):
+    """The checks every solver makes before it starts: its tolerance
+    keyword ``name`` is finite and > 0, and a strict spec passes the
+    exponent validation."""
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"{name} must be finite and > 0, got {tol!r}")
     if spec.strict_validation:
         check = validate_exponents(spec.params, spec.grid.dim, "standard")
         if not check:
@@ -504,7 +509,7 @@ def solve_dirichlet(spec, newton_tol=NEWTON_TOL):
         raise ValidationError("solve_dirichlet expects a spec without an obstacle")
     if spec.boundary is None:
         raise ValidationError("solve_dirichlet needs boundary data")
-    _strict_gate(spec)
+    _gate(spec, "newton_tol", newton_tol)
     return _solve(spec, newton_tol)
 
 
@@ -549,7 +554,7 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL):
     """
     if spec.obstacle is None:
         raise ValidationError("solve_obstacle needs an obstacle")
-    _strict_gate(spec)
+    _gate(spec, "newton_tol", newton_tol)
     return _solve(spec, newton_tol)
 
 

@@ -46,7 +46,7 @@ from .operators import (
     flux_coefficient_derivatives,
     flux_coefficients,
 )
-from .variational import SolveReport, _strict_gate
+from .variational import SolveReport, _gate
 
 __all__ = [
     "SecondOrderJet",
@@ -73,16 +73,9 @@ MAX_BACKTRACK = 8
 # gradient floors of the continuation, 1 down to 2^-12; a solve that
 # needs it visits those above its grid spacing h, then h itself
 FLOOR_SCHEDULE = tuple(0.5 ** k for k in range(13))
-# pair entries per block of the doubling search: one 65^2 row offset
-# (at most 65^3 pairs) is one block, a 1D row of 2049 nodes five
+# values alive at once in a block of the doubling search: about eight
+# arrays of one value per pair, so a block holds BLOCK_PAIRS / 8 pairs
 BLOCK_PAIRS = 1 << 20
-# cost of one pair of the value-bounded doubling search in pairs of the
-# radius-bounded row loop, which runs where it visits fewer pairs than
-# this many times the value-bounded candidates. Measured on a 2-vCPU VM
-# with every pair forced through each path at j = 1: 20.5 against 2.6 ns
-# a pair at 65^2 and 22.3 against 4.4 ns at 33^2 (smooth fields), 30
-# against 5.9 ns at 65^2 (random fields, 3.3M candidates)
-VALUE_PAIR_COST = 8.0
 
 
 @dataclass(frozen=True)
@@ -380,7 +373,7 @@ def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
         raise ValidationError("the viscosity solver has no obstacle support")
     if spec.boundary is None:
         raise ValidationError("solve_viscosity needs boundary data")
-    _strict_gate(spec)
+    _gate(spec, "tol", tol)
     coeff = spec.params.coeff
     if not coeff.is_constant and not allow_nonconstant:
         raise ValidationError(
@@ -621,54 +614,33 @@ class DoublingResult:
     sigma: float
 
 
-def _value_candidates(u, v, floor, row_pairs):
-    """The pairs (x, y) with fl(u(x) - v(y)) >= floor, as (order, counts):
-    v ascending is v[order], and x pairs with the first counts[x] nodes
-    of ``order``. None where VALUE_PAIR_COST times their number is not
-    below ``row_pairs``.
-    """
-    # with z a diagonal maximizer, u(x) >= u(z) and v(y) <= v(z) give
-    # fl(u(x) - v(y)) >= fl(u(z) - v(z)) = floor; taking z at the median
-    # u bounds the count from below in O(N), and sends identical and
-    # constant fields to the row loop without sorting
-    at = np.flatnonzero(u - v == floor)
-    z = at[np.argpartition(u[at], len(at) // 2)[len(at) // 2]]
-    if VALUE_PAIR_COST * (np.count_nonzero(u >= u[z]) * np.count_nonzero(v <= v[z])) >= row_pairs:
-        return None
+def _search_by_value(u, v, floor, z, px, py, j, s):
+    """Best (Psi, x index, y index) over the diagonal pair (z, z) and the
+    pairs (x, y) with fl(u(x) - v(y)) >= floor; px and py are the node
+    coordinates along the rows and across them."""
+    n = len(u)
     order = np.argsort(v)
     v_sorted = v[order]
-    # fl(u(x) - v) falls as v grows, so each x pairs with a prefix. A slack
-    # of 8 ulps of |u(x)| + |floor| + max |v| exceeds the rounding of the
-    # threshold u(x) - floor and of the difference, so two searchsorted
-    # results bracket the prefix end; bisection with the exact test
-    # closes each bracket
-    slack = 8.0 * np.finfo(float).eps * (np.abs(u) + abs(floor) + max(-v_sorted[0], v_sorted[-1]))
-    lo = np.searchsorted(v_sorted, (u - floor) - slack, side="left")
-    hi = np.searchsorted(v_sorted, (u - floor) + slack, side="right")
-    live = np.flatnonzero(lo < hi)
+    # fl(u(x) - v) falls as v grows, so each x pairs with a prefix, empty
+    # where fl(u(x) - min v) fails. A slack of 8 ulps of |u(x)| + |floor|
+    # + max |v| exceeds the rounding of the threshold u(x) - floor and of
+    # the difference, so two searchsorted results bracket the prefix end;
+    # bisection with the exact test closes each bracket
+    nodes = np.flatnonzero(u - v_sorted[0] >= floor)
+    ux = u[nodes]
+    slack = 8.0 * np.finfo(float).eps * (np.abs(ux) + abs(floor) + max(-v_sorted[0], v_sorted[-1]))
+    counts = np.searchsorted(v_sorted, (ux - floor) - slack, side="left")
+    hi = np.searchsorted(v_sorted, (ux - floor) + slack, side="right")
+    live = np.flatnonzero(counts < hi)
     while live.size:
-        mid = (lo[live] + hi[live]) // 2
-        ok = u[live] - v_sorted[mid] >= floor
-        lo[live[ok]] = mid[ok] + 1
+        mid = (counts[live] + hi[live]) // 2
+        ok = ux[live] - v_sorted[mid] >= floor
+        counts[live[ok]] = mid[ok] + 1
         hi[live[~ok]] = mid[~ok]
-        live = live[lo[live] < hi[live]]
-    if VALUE_PAIR_COST * np.sum(lo) >= row_pairs:
-        return None
-    return order, lo
-
-
-def _search_by_value(u, v, order, counts, px, py, j, s):
-    """Best (Psi, x index, y index) over the pairs of each node x with the
-    first counts[x] nodes of ``order`` (v ascending); px and py are the
-    node coordinates along the rows and across them."""
-    n = len(u)
-    nodes = np.flatnonzero(counts)
-    counts = counts[nodes]
+        live = live[counts[live] < hi[live]]
     starts = np.concatenate(([0], np.cumsum(counts)))
-    # about eight arrays of one value per pair are alive at once, so blocks
-    # of BLOCK_PAIRS / 8 pairs hold about as many values as a row-loop block
     limit = BLOCK_PAIRS // 8
-    best, best_key, a = -np.inf, 0, 0
+    best, best_key, a = float(u[z] - v[z]), z * n + z, 0
     while a < len(nodes):
         b = max(a + 1, int(np.searchsorted(starts, starts[a] + limit, side="right")) - 1)
         ix = np.repeat(nodes[a:b], counts[a:b])
@@ -678,54 +650,31 @@ def _search_by_value(u, v, order, counts, px, py, j, s):
         psi = u[ix] - v[iy]
         psi -= (j / s) * np.sqrt(dx ** 2 + dy * dy) ** s
         top = psi.max()
-        # blocks come in increasing x, so a later equal maximum never
-        # holds the lexicographically smaller pair
-        if top > best:
-            best, best_key = float(top), int(np.min((ix * n + iy)[psi == top]))
+        if top >= best:
+            key = int(np.min((ix * n + iy)[psi == top]))
+            if top > best or key < best_key:
+                best, best_key = float(top), key
     return best, best_key // n, best_key % n
-
-
-def _search_by_rows(u, v, xs, ys, rows, j, s):
-    """Best (Psi, x index, y index) over the pairs at most ``rows`` grid
-    rows apart, one row offset at a time."""
-    nx, ny = len(xs), len(ys)
-    uv, vv = u.reshape(ny, nx), v.reshape(ny, nx)
-    # a block pairs x rows by x columns with whole rows of y
-    cols = min(nx, max(1, BLOCK_PAIRS // nx))
-    per_block = max(1, BLOCK_PAIRS // (cols * nx))
-    best, best_ix, best_iy = -np.inf, 0, 0
-    for dj in range(-rows, rows + 1):
-        iy = np.arange(max(0, -dj), ny - max(0, dj))
-        dys = ys[iy] - ys[iy + dj]
-        for dy in np.unique(dys):  # rounding of the coordinates may split the rows
-            same = iy[dys == dy]
-            for r0, c0 in itertools.product(range(0, len(same), per_block), range(0, nx, cols)):
-                sel = same[r0:r0 + per_block]
-                block = uv[sel, c0:c0 + cols, None] - vv[sel + dj, None, :]
-                block -= (j / s) * np.sqrt((xs[c0:c0 + cols, None] - xs) ** 2 + dy * dy) ** s
-                r, ix, kx = np.unravel_index(np.argmax(block), block.shape)
-                cand = (int(sel[r] * nx + c0 + ix), int((sel[r] + dj) * nx + kx))
-                if block[r, ix, kx] > best or (block[r, ix, kx] == best and cand < (best_ix, best_iy)):
-                    best, (best_ix, best_iy) = float(block[r, ix, kx]), cand
-    return best, best_ix, best_iy
 
 
 def doubling_penalty(u, v, j, s, sigma=0.5, params=None):
     """Exact maximization of the doubled-variables penalty function.
 
-    The diagonal gives Psi(x, x) = u(x) - v(x) exactly and the penalty is
-    never negative, so a pair can reach the maximum only if its rounded
-    difference u(x) - v(y) is at least L = max(u - v). For each x those
-    pairs are a prefix of v sorted ascending; the prefix lengths are found
-    exactly by bisection, and Psi is evaluated on those pairs only. Where
-    that prunes little (identical or constant fields: VALUE_PAIR_COST
-    times the candidates is not below the row loop's pairs), the search
-    instead visits the row offsets within the radius (j/s)|x - y|^s <=
-    max u - min v - L (widened against rounding). Either way Psi is
-    evaluated by the same float expression, in blocks of at most about
-    BLOCK_PAIRS (x, y) pairs so memory stays bounded, and ties break to the
-    lexicographically smallest (x index, y index). Requires
-    s > max{2, p/(p-1), q/(q-1)} (the last two only when params are given).
+    The diagonal gives Psi(x, x) = u(x) - v(x) exactly, so the maximum is
+    at least L = max(u - v), reached first at the diagonal pair (z, z).
+    Distinct nodes are at least one node step h apart, so any other pair
+    that ties or beats L has a rounded difference u(x) - v(y) of at least
+    L + (j/s) h^s; the search takes that floor, widened against rounding
+    (the penalty times 1 - 1e-9, less 8 ulps of |L| + max |u| + max |v|).
+    For each x the pairs above the floor are a prefix of v sorted
+    ascending; the prefix lengths are found exactly by bisection, and Psi
+    is evaluated on those pairs only, in blocks of at most about
+    BLOCK_PAIRS / 8 pairs so memory stays bounded. Ties break to the
+    lexicographically smallest (x index, y index). Fields whose slopes
+    exceed the smallest penalty slope, identical fields at small j among
+    them, leave many pairs above the floor and cost up to O(N^2).
+    Requires s > max{2, p/(p-1), q/(q-1)} (the last two only when params
+    are given).
     """
     if not (sigma > 0.0 and j > 0.0):
         raise ValueError("sigma and j must be positive")
@@ -738,19 +687,15 @@ def doubling_penalty(u, v, j, s, sigma=0.5, params=None):
         raise GridMismatch("penalty requires both fields on one grid")
     coords = u.grid.coords
     nx = u.grid.shape[0]
-    ny = u.grid.n_nodes // nx
     xs, ys = coords[:nx, 0], coords[::nx, -1]
-    diag, top = float(np.max(u.values - v.values)), float(np.max(u.values) - np.min(v.values))
-    ulps = 4.0 * np.finfo(float).eps  # slack for rounding of values and coordinates
-    radius = (s * (top - diag + ulps * (abs(top) + abs(diag))) / j) ** (1.0 / s) * (1.0 + 1e-9)
-    rows = int(min(ny - 1, (radius + ulps * float(np.max(np.abs(coords)))) // u.grid.spacing[-1]))
-    row_pairs = nx * nx * (ny * (2 * rows + 1) - rows * (rows + 1))
-    candidates = _value_candidates(u.values, v.values, diag, row_pairs)
-    if candidates is not None:
-        px, py = np.tile(xs, ny), np.repeat(ys, nx)
-        best, best_ix, best_iy = _search_by_value(u.values, v.values, *candidates, px, py, j, s)
-    else:
-        best, best_ix, best_iy = _search_by_rows(u.values, v.values, xs, ys, rows, j, s)
+    diff = u.values - v.values
+    z = int(np.argmax(diff))
+    with np.errstate(over="ignore"):  # a penalty too large for a float is inf
+        penalty = (j / s) * np.min(u.grid.spacing) ** s * (1.0 - 1e-9)
+    slack = 8.0 * np.finfo(float).eps * (abs(diff[z]) + np.max(np.abs(u.values)) + np.max(np.abs(v.values)))
+    floor = float(diff[z] + penalty - slack)
+    px, py = np.tile(xs, len(ys)), np.repeat(ys, nx)
+    best, best_ix, best_iy = _search_by_value(u.values, v.values, floor, z, px, py, j, s)
     d = float(np.linalg.norm(coords[best_ix] - coords[best_iy]))
     return DoublingResult(
         x_index=best_ix, y_index=best_iy,

@@ -481,6 +481,49 @@ class TestMain:
         )
         assert main(["solve-var", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command, key", [("solve-var", "newton"), ("solve-visc", "gauss_seidel")])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, key, value):
+        # a tolerance is a finite number > 0: nan wrote an unconverged
+        # solve-var field with exit 0, inf the warm start as converged
+        out = tmp_path / "out"
+        cfg = tmp_path / "tol.cfg"
+        text = LINEAR_1D.format(out=out) + f"\n[tolerances]\n{key} = {value}\n"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        assert capsys.readouterr().err == (f"error: configuration is invalid\n"
+                                           f"  line {line}, {key}: need a finite number > 0, got {value!r}\n")
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(LINEAR_1D.format(out=tmp_path))
+        assert main(["solve-var", "--config", str(cfg), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make the output directory: ") and err.count("\n") == 1
+        assert target.read_text() == "keep"
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+
+    def test_prefix_with_a_missing_subdirectory_is_made(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(LINEAR_1D.replace("prefix = bench", "prefix = sub/bench").format(out=tmp_path))
+        assert main(["solve-var", "--config", str(cfg)]) == 0
+        assert sorted(os.listdir(tmp_path / "sub")) == ["bench_report.csv", "bench_solution.field"]
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # a directory where the field file goes: the write fails after the
+        # solve, with one error line and no temporary file left
+        (tmp_path / "bench_solution.field").mkdir()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(LINEAR_1D.format(out=tmp_path))
+        assert main(["solve-var", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["bench_solution.field", "run.cfg"]
+
     def test_nonconvergence_maps_to_exit_1(self, tmp_path, monkeypatch):
         import doublephase.cli as cli_mod
         from doublephase.errors import NonConvergence

@@ -1158,6 +1158,20 @@ class TestEntryChecks:
             call()
 
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("solver", ["dirichlet", "obstacle"])
+    def test_tolerance_must_be_finite_and_positive(self, solver, tol):
+        # nan made a failed solve look converged, inf returned the start,
+        # and 0 or -1 ran the loop to its step cap
+        g = Grid((9,))
+        spec = ProblemSpec(grid=g, params=const_params(2.0, 2.5), boundary=linear_bd())
+        solve = solve_dirichlet
+        if solver == "obstacle":
+            spec, solve = replace(spec, obstacle=NodalField(g, np.full(g.n_nodes, -1.0))), solve_obstacle
+        with pytest.raises(ValidationError, match=r"^newton_tol must be finite and > 0, got "):
+            solve(spec, newton_tol=tol)
+
+
 class TestApproximationSequence:
     def test_single_level_reduces_to_obstacle_solve(self):
         g = Grid((33,))

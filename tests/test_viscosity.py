@@ -501,6 +501,15 @@ class TestSolver:
         with pytest.raises(ValidationError, match=reason):
             solve_viscosity(spec)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # nan failed every solve, inf returned the warm start as converged
+        # after 0 steps, and 0 or -1 ran Newton to its step cap
+        spec = ProblemSpec(grid=Grid((9, 9)), params=const_params(2.0, 2.5),
+                           boundary=BoundaryData.from_callable(lambda pts: pts[:, 0] ** 2))
+        with pytest.raises(ValidationError, match=r"^tol must be finite and > 0, got "):
+            solve_viscosity(spec, tol=tol)
+
     def test_nonconstant_override_marks_experimental(self):
         g = Grid((13, 13))
         spec = ProblemSpec(
@@ -858,7 +867,8 @@ class TestNodeLayout:
 @st.composite
 def doubling_cases(draw):
     """Two fields on a random 1D, square, non-square or shifted grid with
-    (j, s); two thirds of the draws are constant or identical fields (ties)."""
+    (j, s); three quarters of the draws are constant, identical or shifted
+    (v = u - c) fields, whose diagonal ties."""
     dim = draw(st.sampled_from([1, 2]))
     shape = tuple(draw(st.integers(3, 30 if dim == 1 else 9)) for _ in range(dim))
     lower = extent = None
@@ -869,10 +879,15 @@ def doubling_cases(draw):
     scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
     fields = hnp.arrays(float, grid.n_nodes, elements=st.floats(-scale, scale))
     u = draw(fields)
-    kind = draw(st.sampled_from(["random", "constant", "identical"]))
+    kind = draw(st.sampled_from(["random", "constant", "identical", "shifted"]))
     if kind == "constant":
         u = np.full(grid.n_nodes, u[0])
-    v = u.copy() if kind != "random" else draw(fields)
+    if kind == "random":
+        v = draw(fields)
+    elif kind == "shifted":
+        v = u - draw(st.floats(-scale, scale))
+    else:
+        v = u.copy()
     j = 10.0 ** draw(st.floats(-1.0, 6.0))
     s = draw(st.floats(2.01, 5.0))
     return NodalField(grid, u), NodalField(grid, v), j, s
@@ -946,6 +961,29 @@ class TestDoubling:
         r = doubling_penalty(u, u, 1.0, 2.5)
         assert (r.x_index, r.y_index) == (0, 0)
 
+    def test_off_diagonal_pair_ties_the_diagonal_maximum(self):
+        # h = 1, s = 4, j = 4: the smallest penalty is 1, and the pair (0, 1)
+        # reaches u(0) - v(1) - 1 = 1 = u(5) - v(5), the diagonal maximum,
+        # with the smaller key
+        g = Grid((8,), lower=[0.0], extent=[7.0])
+        u = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        v = np.array([1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        r = doubling_penalty(NodalField(g, u), NodalField(g, v), 4.0, 4.0)
+        assert (r.x_index, r.y_index, r.psi_max, r.separation) == (0, 1, 1.0, 1.0)
+        assert doubling_maximizer(g.coords, u, v, 4.0, 4.0) == (0, 1, 1.0)
+
+    def test_overflowing_penalty_leaves_the_diagonal(self):
+        # h = 2, s = 4, j = 1e308: (j/s) h^s = 4e308 is inf as a float, so
+        # no pair but the diagonal can reach the maximum
+        g = Grid((8,), lower=[0.0], extent=[14.0])
+        rng = np.random.default_rng(3)
+        u, v = rng.normal(size=8), rng.normal(size=8)
+        r = doubling_penalty(NodalField(g, u), NodalField(g, v), 1e308, 4.0)
+        z = int(np.argmax(u - v))
+        assert (r.x_index, r.y_index, r.psi_max, r.separation) == (z, z, u[z] - v[z], 0.0)
+        with np.errstate(over="ignore"):
+            assert doubling_maximizer(g.coords, u, v, 1e308, 4.0) == (z, z, u[z] - v[z])
+
     @settings(max_examples=200)
     @given(doubling_cases(), st.one_of(st.just(viscosity.BLOCK_PAIRS), st.integers(1, 64)))
     def test_matches_exhaustive_search(self, case, block_pairs):
@@ -958,22 +996,7 @@ class TestDoubling:
         assert (r.x_index, r.y_index) == (ix, iy)
         assert abs(r.psi_max - psi) <= 1e-12 * (1.0 + abs(psi))
 
-    @pytest.mark.parametrize("cost", [0.0, np.inf], ids=["by-value", "by-rows"])
-    @settings(max_examples=200)
-    @given(doubling_cases(), st.one_of(st.just(viscosity.BLOCK_PAIRS), st.integers(1, 64)))
-    def test_each_path_matches_exhaustive_search(self, cost, case, block_pairs):
-        # VALUE_PAIR_COST = 0 sends every draw to the value-bounded search,
-        # infinity every draw to the row loop
-        u, v, j, s = case
-        ix, iy, psi = doubling_maximizer(u.grid.coords, u.values, v.values, j, s)
-        with mock.patch.object(viscosity, "BLOCK_PAIRS", block_pairs), \
-                mock.patch.object(viscosity, "VALUE_PAIR_COST", cost):
-            r = doubling_penalty(u, v, j, s)
-        assert (r.x_index, r.y_index) == (ix, iy)
-        assert abs(r.psi_max - psi) <= 1e-12 * (1.0 + abs(psi))
-
-    @pytest.mark.parametrize("cost", [None, 0.0, np.inf], ids=["chosen", "by-value", "by-rows"])
-    def test_solved_fields_match_exhaustive_search_bitwise(self, cost):
+    def test_solved_fields_match_exhaustive_search_bitwise(self):
         # the benchmark's doubling data at 33^2: the smooth boundary datum
         # and a wave
         u, pr = self._solved(33, self._smooth)
@@ -982,20 +1005,18 @@ class TestDoubling:
         s = max(2.0, pr.p / (pr.p - 1.0), pr.q / (pr.q - 1.0)) + 0.5
         for j in (1.0, 1e2, 1e4):
             ix, iy, psi = doubling_maximizer(g.coords, u.values, v.values, j, s)
-            with mock.patch.object(viscosity, "VALUE_PAIR_COST",
-                                   viscosity.VALUE_PAIR_COST if cost is None else cost):
-                r = doubling_penalty(u, v, j, s, params=pr)
+            r = doubling_penalty(u, v, j, s, params=pr)
             assert (r.x_index, r.y_index) == (ix, iy)
             assert r.psi_max == psi
 
     @pytest.mark.parametrize("kind", ["identical", "constant"])
     @pytest.mark.parametrize("j", [1.0, 1e7])
-    def test_fallback_inputs_take_the_row_loop(self, kind, j):
-        # half of all pairs of identical fields pass the value test, and
-        # every pair of constant fields: the row loop must search them,
-        # within the memory bound of the long 1D row. The identical field
-        # is a solved field scaled so that its slopes stay below the
-        # smallest penalty slope h^(s-1)/s, so the diagonal is the maximum
+    def test_identical_and_constant_fields_memory_is_bounded(self, kind, j):
+        # at j = 1 millions of pairs of the identical field pass the value
+        # floor, and the search must stay within the memory bound of the long
+        # 1D row; no pair of the constant field passes. The identical field is
+        # a solved field scaled so that its slopes stay below the smallest
+        # penalty slope h^(s-1)/s, so the diagonal is the maximum
         solved, _ = self._solved(65, self._smooth)
         g = solved.grid
         if kind == "identical":
@@ -1004,9 +1025,7 @@ class TestDoubling:
             u = NodalField(g, np.full(g.n_nodes, 0.25))
         tracemalloc.start()
         try:
-            with mock.patch.object(viscosity, "_search_by_value",
-                                   side_effect=AssertionError("value-bounded search on a fallback input")):
-                r = doubling_penalty(u, u, j, 2.5)
+            r = doubling_penalty(u, u, j, 2.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1031,8 +1050,8 @@ class TestDoubling:
         assert abs(r.psi_max - psi) <= 1e-12 * (1.0 + abs(psi))
 
     def test_tie_across_row_offsets(self):
-        # equal maxima at (A1, B1), one row offset up, and (A2, B2), one row
-        # offset down, with A1 < A2: the later-searched offset must win the tie
+        # equal maxima at (A1, B1), one row up, and (A2, B2), one row down,
+        # with A1 < A2: the smaller pair must win the tie
         g = Grid((9, 9))
         u, v = np.zeros(g.n_nodes), np.zeros(g.n_nodes)
         u[[21, 57]] = 1.0
