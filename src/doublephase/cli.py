@@ -451,7 +451,8 @@ def run(config):
 
 
 def _write_outputs(config, base, result):
-    """Write a study's table or a solve's field and report; the exit code."""
+    """Write a study's table or a solve's field and report; the exit code.
+    A report that cannot be written takes this run's field file with it."""
     if config.command.startswith("study:"):
         path = base + f"_{result.name}.csv"
         _atomic_write(path, lambda tmp: result.to_csv(tmp, comment=_provenance(config)))
@@ -460,7 +461,11 @@ def _write_outputs(config, base, result):
         return 0 if result.verdict else 3
     field, report = result
     _atomic_write(base + "_solution.field", lambda tmp: write_field(field, tmp))
-    _write_report(config, report, base + "_report.csv")
+    try:
+        _write_report(config, report, base + "_report.csv")
+    except OSError:
+        os.unlink(base + "_solution.field")
+        raise
     print(f"wrote {base}_solution.field and {base}_report.csv")
     return 0
 

@@ -202,14 +202,6 @@ def first_order_term(q, m, xi, grad_a):
     return m ** (q - 2.0) * np.sum(xi * grad_a, axis=-1)
 
 
-def first_order_term_gradient(q, m, xi, grad_a, dm):
-    """dT/dxi of :func:`first_order_term`, given dm = dm/dxi (xi/|xi| where
-    m = |xi|, zero where a floor holds m)."""
-    fq = m ** (q - 2.0)
-    slope = (q - 2.0) * fq / m * np.sum(xi * grad_a, axis=-1)
-    return fq[..., None] * grad_a + slope[..., None] * dm
-
-
 def growth(p, q, a, t):
     """H = t^p + a t^q at magnitudes t; the a-term is exactly 0 where a = 0."""
     return t ** p + np.where(a > 0.0, a * t ** q, 0.0)

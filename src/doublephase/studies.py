@@ -216,15 +216,11 @@ def equivalence_study(spec, refinements, seed=0):
     """max |u_var - u_visc| under refinement; both routes share the spec.
 
     Pass verdict: strictly decreasing distance, finest at most half the
-    coarsest.
+    coarsest. A non-constant a(x) fails at the first level with the
+    :class:`ValidationError` of :func:`solve_viscosity`.
     """
     if refinements < 2:
         raise ValueError("refinements must be >= 2")
-    if not spec.params.coeff.is_constant:
-        raise ValidationError(
-            "the equivalence study requires a constant coefficient a(x) "
-            "(the viscosity route is only well-posed there)"
-        )
     rows = []
     current = spec
     for level in range(refinements):

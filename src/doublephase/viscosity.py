@@ -6,23 +6,26 @@ The expanded operator is
                    - a(x) |eta|^(q-2) ( tr X + (q-2) <X w, w> )
                    - |eta|^(q-2) eta . grad a(x),          w = eta/|eta|,
 
-which equals -div A(x, Dphi) on smooth phi. The grid solver discretizes
-it with centered gradients, centered second differences, the
-sign-adapted pair of diagonal stencils for the mixed derivative, and a
-gradient floor |eta| -> max(|eta|, h) tying regularization to
-resolution. The scheme is monotone only with its coefficients frozen:
-S, Gamma, the direction w and the first-order term are read from the
-centered gradient, which moves with the axis neighbours, and on rough
-data the scheme can have more than one discrete solution (known defect
-KD-3 in ROADMAP.md). It solves the scheme F = eps by semismooth Newton: the
-Newton matrix is the frozen M-matrix (coefficients, mixed-stencil choice
-and first-order term held at the current field, the matrix of Howard's
-policy iteration) plus the derivative of the coefficients and the
-first-order term through the centered gradient, with one-sided
-derivatives at the floor and the policy switch. An Armijo line search on
-the squared residual globalizes it, and a continuation in the gradient
-floor, from 1 down to h, takes over when that line search stalls. Each
-iterate's residual, frozen weights and Newton matrix read one ``_Scheme``.
+which equals -div A(x, Dphi) on smooth phi; ``nondiv_eval``,
+``consistency_check``, ``touch_test`` and ``local_equation`` take a
+variable a(x). The grid solver takes a constant a only: the first-order
+term of a variable a gives neighbour weights of either sign, and
+Barles-Souganidis convergence needs a monotone scheme. It discretizes F
+with centered gradients, centered second differences, the sign-adapted
+pair of diagonal stencils for the mixed derivative, and a gradient floor
+|eta| -> max(|eta|, h) tying regularization to resolution. The scheme is
+monotone only with its coefficients frozen: S, Gamma and the direction w
+are read from the centered gradient, which moves with the axis
+neighbours, and on rough data the scheme can have more than one discrete
+solution (known defect KD-3 in ROADMAP.md). It solves the scheme F = eps
+by semismooth Newton: the Newton matrix is the frozen M-matrix (coefficients and mixed-stencil
+choice held at the current field, the matrix of Howard's policy
+iteration) plus the derivative of the coefficients through the centered
+gradient, with one-sided derivatives at the floor and the policy switch.
+An Armijo line search on the squared residual globalizes it, and a
+continuation in the gradient floor, from 1 down to h, takes over when
+that line search stalls. Each iterate's residual, frozen weights and
+Newton matrix read one ``_Scheme``.
 """
 
 import itertools
@@ -39,13 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import InteriorPattern, NodalField, poisson_start
-from .operators import (
-    a_flux,
-    first_order_term,
-    first_order_term_gradient,
-    flux_coefficient_derivatives,
-    flux_coefficients,
-)
+from .operators import a_flux, first_order_term, flux_coefficient_derivatives, flux_coefficients
 from .variational import SolveReport, _gate
 
 __all__ = [
@@ -245,14 +242,13 @@ class _Scheme:
     ``gam``, the diagonal and mixed entries of M = S I + Gamma w w^T, the
     mixed-stencil ``policy`` (NE-SW pair where M12 >= 0), the axis and
     sign-adapted mixed second differences, the diagonal (``centre``)
-    weight, the first-order term (0.0 for a constant coefficient) and the
-    ``residual`` F - eps. ``law`` is (p, q, a, ga) with ``a``/``ga`` given
-    at interior nodes, and ``ga`` None for a constant a, whose first-order
-    term is identically 0. Vectors are (dim, n); 1D has no mixed entry
+    weight and the ``residual`` F - eps = -tr(M D^2 u) - eps. ``law`` is
+    (p, q, a) with a constant ``a`` given at the interior nodes, so F has
+    no first-order term. Vectors are (dim, n); 1D has no mixed entry
     (``m12`` = ``dxy`` = 0)."""
 
     def __init__(self, stencil, u, law, dv, eps):
-        p, q, a, ga = law
+        p, q, a = law
         self.stencil, self.law = stencil, law
         uv = u[stencil.nbr]
         up, um, uc = uv[stencil.plus], uv[stencil.minus], uv[stencil.centre]
@@ -274,8 +270,7 @@ class _Scheme:
             cross = (up + um).sum(axis=0) - 2.0 * uc
             self.dxy = np.where(self.policy, uv[0] + uv[8] - cross, cross - uv[2] - uv[6]) / (2.0 * stencil.hxy)
         self.centre = 2.0 * (self.mdiag / stencil.h2).sum(axis=0) - 2.0 * np.abs(self.m12) / stencil.hxy
-        self.first = 0.0 if ga is None else first_order_term(q, self.m, self.eta.T, ga)
-        self.residual = -((self.mdiag * self.d2).sum(axis=0) + 2.0 * self.m12 * self.dxy) - self.first - eps
+        self.residual = -((self.mdiag * self.d2).sum(axis=0) + 2.0 * self.m12 * self.dxy) - eps
 
     def weights(self):
         """Frozen weights W, one row per stencil offset: W u = -tr(M D^2 u)
@@ -293,10 +288,10 @@ class _Scheme:
 
     def jacobian(self):
         """Band of the Newton matrix dR/du_int here: the frozen weights W
-        plus the derivative of W u - T through the centered gradient, which
+        plus the derivative of W u through the centered gradient, which
         only touches the axis neighbors. The policy stays fixed; below the
         floor m does not move (dm = 0) and w = eta/dv."""
-        p, q, a, ga = self.law
+        p, q, a = self.law
         st, w, m = self.stencil, self.w, self.m
         W = self.weights()
         dm = np.where(self.norm >= m, w, 0.0)
@@ -304,8 +299,6 @@ class _Scheme:
         Dw = self.d2 * w + self.dxy * w[::-1]  # D^2 u w with D^2 u = [[d2x, dxy], [dxy, d2y]]
         wDw = (w * Dw).sum(axis=0)
         g = (dS * self.d2.sum(axis=0) + dgam * wDw) * dm + 2.0 * self.gam * (Dw - dm * wDw) / m
-        if ga is not None:
-            g += first_order_term_gradient(q, m, self.eta.T, ga, dm.T).T
         g /= 2.0 * st.h  # d eta_j / d u at the +h_j and -h_j neighbors
         W[st.plus] -= g
         W[st.minus] += g
@@ -352,7 +345,7 @@ def _newton(stencil, u, law, dv, eps, tol, history):
         history.append(float(np.max(np.abs(scheme.residual))))
 
 
-def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
+def solve_viscosity(spec, tol=SCHEME_TOL):
     """Semismooth Newton on the scheme; (field, report).
 
     Each step solves the Newton matrix of R(u) = F(u) - eps (the frozen
@@ -365,8 +358,8 @@ def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
     line search stalls at floor h, the solve restarts from the warm start
     and walks the floors of ``FLOOR_SCHEDULE`` above h, then h.
     ``iterations`` counts every Newton step taken and ``delta_schedule``
-    lists the floors visited. The scheme is monotone with its
-    coefficients frozen only (see the module docstring), and ``energy`` is
+    lists the floors visited. A non-constant a raises
+    :class:`ValidationError` (see the module docstring), and ``energy`` is
     NaN: the discrete energy is the variational route's.
     """
     if spec.obstacle is not None:
@@ -375,17 +368,11 @@ def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
         raise ValidationError("solve_viscosity needs boundary data")
     _gate(spec, "tol", tol)
     coeff = spec.params.coeff
-    if not coeff.is_constant and not allow_nonconstant:
-        raise ValidationError(
-            "the viscosity route requires a constant coefficient a(x); "
-            "pass allow_nonconstant=True to run it anyway (experimental)"
-        )
+    if not coeff.is_constant:
+        raise ValidationError("the viscosity route requires a constant coefficient a(x)")
     grid = spec.grid
-    nodes = grid.coords[grid.interior_idx]
-    a = coeff.value(nodes)
-    # grad a = 0 for a constant a: skip the first-order term and its gradient
-    ga = None if coeff.is_constant else coeff.grad_value(nodes)
-    law = (spec.params.p, spec.params.q, a, ga)
+    a = coeff.value(grid.coords[grid.interior_idx])
+    law = (spec.params.p, spec.params.q, a)
     h = float(np.max(grid.spacing))
     eps = spec.epsilon
     stencil = _Stencil(grid)
@@ -404,7 +391,6 @@ def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
     converged = status == "converged"
 
     field = NodalField(grid, u)
-    notes = "" if coeff.is_constant else "experimental: non-constant coefficient"
     report = SolveReport(
         converged=converged,
         iterations=len(history),
@@ -413,7 +399,6 @@ def solve_viscosity(spec, tol=SCHEME_TOL, allow_nonconstant=False):
         delta_schedule=tuple(floors),
         residual_history=tuple(history),
         method="viscosity",
-        notes=notes,
     )
     if not converged:
         reason = "the line search stalled" if status == "stalled" else f"{MAX_NEWTON_ITER} steps were taken"
@@ -673,16 +658,16 @@ def doubling_penalty(u, v, j, s, sigma=0.5, params=None):
     lexicographically smallest (x index, y index). Fields whose slopes
     exceed the smallest penalty slope, identical fields at small j among
     them, leave many pairs above the floor and cost up to O(N^2).
-    Requires s > max{2, p/(p-1), q/(q-1)} (the last two only when params
-    are given).
+    Requires sigma > 0, a finite j > 0 and a finite
+    s > max{2, p/(p-1), q/(q-1)} (the last two only when params are given).
     """
-    if not (sigma > 0.0 and j > 0.0):
-        raise ValueError("sigma and j must be positive")
+    if not (sigma > 0.0 and 0.0 < j < np.inf):
+        raise ValueError("sigma must be positive and j finite and positive")
     lower = 2.0
     if params is not None:
         lower = max(lower, params.p / (params.p - 1.0), params.q / (params.q - 1.0))
-    if not s > lower:
-        raise InvalidExponent(f"s = {s:g} must exceed {lower:g}")
+    if not lower < s < np.inf:
+        raise InvalidExponent(f"s = {s:g} must be finite and exceed {lower:g}")
     if not u.grid.compatible_with(v.grid):
         raise GridMismatch("penalty requires both fields on one grid")
     coords = u.grid.coords

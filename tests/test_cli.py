@@ -404,15 +404,21 @@ class TestMain:
         assert capsys.readouterr().err == f"error: configuration is invalid\n  line 7, coefficient: {reason}\n"
         assert not out.exists()
 
-    def test_nonconstant_coefficient_study_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("command", ["solve-visc", "study:equivalence"])
+    def test_nonconstant_coefficient_viscosity_route_exits_2(self, tmp_path, capsys, command, dimension):
+        # the viscosity solver refuses a non-constant a: one error line and
+        # no output file
         cfg = tmp_path / "nc.cfg"
+        nodes, extent = ("33", "1") if dimension == 1 else ("9 9", "1 1")
         cfg.write_text(
-            "[problem]\ndimension = 1\nnodes = 33\nextent = 1\np = 2\nq = 2.5\n"
+            f"[problem]\ndimension = {dimension}\nnodes = {nodes}\nextent = {extent}\np = 2\nq = 2.5\n"
             "coefficient = 0.5 + 0.25*x\nboundary = x\n"
         )
-        code = main(["study:equivalence", "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == 2
-        assert "constant coefficient" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the viscosity route requires a constant coefficient a(x)\n"
+        assert not list(out.iterdir())
 
     def test_equivalence_with_exactly_agreeing_routes_exit_0(self, tmp_path, capsys):
         # affine data: both routes stay at the Poisson start, so every route
@@ -523,6 +529,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["bench_solution.field", "run.cfg"]
+
+    @pytest.mark.parametrize("command", ["solve-var", "solve-visc", "solve-obstacle"])
+    def test_unwritable_report_leaves_no_field_file(self, tmp_path, capsys, command):
+        # a directory where the report goes: the field file written before
+        # it is removed again, so a failed run leaves no output
+        (tmp_path / "bench_report.csv").mkdir()
+        cfg = tmp_path / "run.cfg"
+        text = LINEAR_1D.format(out=tmp_path)
+        if command == "solve-obstacle":
+            text = text.replace("boundary = x", "boundary = x\nobstacle = -1 + 0*x")
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["bench_report.csv", "run.cfg"]
 
     def test_nonconvergence_maps_to_exit_1(self, tmp_path, monkeypatch):
         import doublephase.cli as cli_mod

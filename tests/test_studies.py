@@ -106,7 +106,21 @@ class TestEquivalence:
             params=DoublePhaseParams(2.0, 2.5, coeff=coeff),
             boundary=smooth_bd(),
         )
-        with pytest.raises(ValidationError, match="constant coefficient"):
+        with pytest.raises(ValidationError, match=r"^the viscosity route requires a constant coefficient a\(x\)$"):
+            equivalence_study(spec, 2)
+
+    def test_rejects_one_valued_analytic_coefficient(self):
+        # the study has no check of its own: its first viscosity solve
+        # refuses any analytic a, even one that takes a single value
+        coeff = CoefficientField.analytic(
+            lambda pts: np.full(pts.shape[0], 0.5), lambda pts: np.zeros((pts.shape[0], 2))
+        )
+        spec = ProblemSpec(
+            grid=Grid((9, 9)),
+            params=DoublePhaseParams(2.0, 2.5, coeff=coeff),
+            boundary=smooth_bd(),
+        )
+        with pytest.raises(ValidationError, match=r"^the viscosity route requires a constant coefficient a\(x\)$"):
             equivalence_study(spec, 2)
 
     @pytest.mark.parametrize("refinements", [0, 1])

@@ -225,22 +225,16 @@ class TestNondivEval:
 @st.composite
 def frozen_cases(draw):
     """A random field on a small 1D or 2D grid with square cells, and
-    (p, q, a, eps) from the monotone regimes p, q in [1.5, 3]."""
+    (p, q, a, eps) from the monotone regimes p, q in [1.5, 3] with a
+    constant a, the only coefficient the solver takes."""
     dim = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(3, 12 if dim == 1 else 8))
     grid = Grid((n,) * dim)
     values = draw(hnp.arrays(float, grid.n_nodes, elements=st.floats(-2.0, 2.0)))
     p, q = sorted(draw(st.lists(st.floats(1.5, 3.0), min_size=2, max_size=2)))
     a0 = draw(st.floats(0.0, 1.0))
-    if draw(st.booleans()):
-        coeff = CoefficientField.constant(a0)
-    else:
-        coeff = CoefficientField.analytic(
-            lambda pts: a0 + 0.25 * pts[:, 0],
-            lambda pts: np.column_stack([np.full(len(pts), 0.25)] + [np.zeros(len(pts))] * (dim - 1)),
-        )
     eps = draw(st.floats(-1.0, 1.0))
-    return NodalField(grid, values), DoublePhaseParams(p, q, coeff=coeff), eps
+    return NodalField(grid, values), const_params(p, q, a0), eps
 
 
 def _neighbors(grid, node):
@@ -259,7 +253,7 @@ class TestFrozenSystem:
         grid = field.grid
         interior = grid.interior_idx
         pts = grid.coords[interior]
-        law = (pr.p, pr.q, pr.coeff.value(pts), pr.coeff.grad_value(pts))
+        law = (pr.p, pr.q, pr.coeff.value(pts))
         stencil = _Stencil(grid)
         h = float(np.max(grid.spacing))
         loc = _Scheme(stencil, field.values, law, h, eps)
@@ -269,7 +263,7 @@ class TestFrozenSystem:
         assert np.all(diag > 0.0)
         assert np.all(K - np.diag(diag) <= 0.0)
         assert np.all(K.sum(axis=1) >= -1e-12 * diag)
-        scheme = np.sum(W * field.values[stencil.nbr], axis=0) - loc.first - eps
+        scheme = np.sum(W * field.values[stencil.nbr], axis=0) - eps
         residual = loc.residual
         np.testing.assert_allclose(residual, scheme, rtol=0.0,
                                    atol=1e-12 * (1.0 + float(np.max(diag)) * 2.0))
@@ -288,7 +282,7 @@ class TestFrozenSystem:
         grid = field.grid
         interior = grid.interior_idx
         pts = grid.coords[interior]
-        law = (pr.p, pr.q, pr.coeff.value(pts), pr.coeff.grad_value(pts))
+        law = (pr.p, pr.q, pr.coeff.value(pts))
         u = field.values.reshape(grid.shape[::-1])
         grads = np.gradient(u, *grid.spacing[::-1]) if grid.dim == 2 else [np.gradient(u, grid.spacing[0])]
         moduli = np.sqrt(sum(g[(slice(1, -1),) * grid.dim] ** 2 for g in grads)).ravel()
@@ -384,33 +378,6 @@ class TestSolver:
         assert rep.iterations == 0
         assert rep.residual_norm <= 1e-10
 
-    @pytest.mark.parametrize("p, q, a0", [(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)])
-    @pytest.mark.parametrize("shape", [(33,), (17, 17)])
-    @pytest.mark.parametrize("eps", [0.0, 1.0])
-    def test_constant_coefficient_skips_first_order_term_exactly(self, p, q, a0, shape, eps):
-        # a constant a has grad a = 0, so its first-order term and gradient
-        # are skipped; the same a given as an analytic field evaluates both
-        # (as zeros) and must give the same solve bit for bit
-        g = Grid(shape)
-        bd = BoundaryData.from_callable(
-            lambda pts: 0.5 * pts[:, 0] + 0.3 * pts[:, -1]
-            + 0.2 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, -1])
-        )
-        same_a = CoefficientField.analytic(
-            lambda pts: np.full(len(pts), a0), lambda pts: np.zeros((len(pts), len(shape)))
-        )
-        u, rep = solve_viscosity(ProblemSpec(grid=g, params=const_params(p, q, a0), boundary=bd,
-                                             epsilon=eps))
-        u_full, rep_full = solve_viscosity(
-            ProblemSpec(grid=g, params=DoublePhaseParams(p, q, coeff=same_a), boundary=bd, epsilon=eps),
-            allow_nonconstant=True,
-        )
-        np.testing.assert_array_equal(u.values, u_full.values)
-        assert rep.iterations == rep_full.iterations
-        assert rep.residual_history == rep_full.residual_history
-        assert rep.delta_schedule == rep_full.delta_schedule
-        assert rep.residual_norm == rep_full.residual_norm
-
     def test_2d_harmonic_quadratic_exact_stencil(self):
         g = Grid((33, 33))
         harm = lambda pts: pts[:, 0] ** 2 - pts[:, 1] ** 2
@@ -478,7 +445,20 @@ class TestSolver:
             params=DoublePhaseParams(2.0, 2.5, coeff=lin_coeff()),
             boundary=BoundaryData.constant(0.0),
         )
-        with pytest.raises(ValidationError, match="constant coefficient"):
+        with pytest.raises(ValidationError, match=r"^the viscosity route requires a constant coefficient a\(x\)$"):
+            solve_viscosity(spec)
+
+    @pytest.mark.parametrize("shape", [(33,), (17, 17)])
+    def test_analytic_coefficient_with_one_value_is_refused(self, shape):
+        # the policy reads how a was given, not its values: an analytic a
+        # that is 0.8 everywhere is refused like any other analytic a
+        g = Grid(shape)
+        same_a = CoefficientField.analytic(
+            lambda pts: np.full(len(pts), 0.8), lambda pts: np.zeros((len(pts), len(shape)))
+        )
+        spec = ProblemSpec(grid=g, params=DoublePhaseParams(1.6, 2.2, coeff=same_a),
+                           boundary=BoundaryData.from_callable(lambda pts: pts[:, 0]))
+        with pytest.raises(ValidationError, match=r"^the viscosity route requires a constant coefficient a\(x\)$"):
             solve_viscosity(spec)
 
     @pytest.mark.parametrize("case", ["obstacle", "no-boundary", "strict-before-coefficient"])
@@ -509,20 +489,6 @@ class TestSolver:
                            boundary=BoundaryData.from_callable(lambda pts: pts[:, 0] ** 2))
         with pytest.raises(ValidationError, match=r"^tol must be finite and > 0, got "):
             solve_viscosity(spec, tol=tol)
-
-    def test_nonconstant_override_marks_experimental(self):
-        g = Grid((13, 13))
-        spec = ProblemSpec(
-            grid=g,
-            params=DoublePhaseParams(2.0, 2.5, coeff=lin_coeff()),
-            boundary=BoundaryData.from_callable(lambda pts: pts[:, 0]),
-        )
-        u, rep = solve_viscosity(spec, allow_nonconstant=True)
-        assert "experimental" in rep.notes
-        # the first-order term |Du|^(q-2) Du . grad a (about 0.25 here) is
-        # part of the scheme the solve satisfied
-        worst = max(abs(local_equation(u, spec.params, int(node))[0]) for node in g.interior_idx)
-        assert worst <= 1e-9
 
     def test_1d_source_matches_flux_inversion_oracle(self):
         from oracles import flux_inversion_solution
@@ -906,6 +872,12 @@ class TestDoubling:
     def _smooth(pts):
         return 0.5 * pts[:, 0] + 0.3 * pts[:, 1] + 0.2 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
 
+    @staticmethod
+    def _random_pair():
+        g = Grid((5, 5))
+        rng = np.random.default_rng(0)
+        return NodalField(g, rng.normal(size=g.n_nodes)), NodalField(g, rng.normal(size=g.n_nodes))
+
     def _pair(self, n=17):
         u, pr = self._solved(n, lambda pts: 0.6 * pts[:, 0] + 0.3 * np.sin(np.pi * pts[:, 0]))
         v, _ = self._solved(n, lambda pts: 0.15 * np.cos(np.pi * pts[:, 1]))
@@ -936,6 +908,22 @@ class TestDoubling:
             doubling_penalty(u, v, 10.0, 2.5, sigma=0.0)
         with pytest.raises(ValueError):
             doubling_penalty(u, v, 0.0, 2.5)
+
+    @pytest.mark.parametrize("j", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_j_must_be_finite_and_positive(self, j):
+        # j = inf gave the diagonal pair with decay_bound and vanish_term
+        # NaN (inf * 0)
+        u, v = self._random_pair()
+        with pytest.raises(ValueError, match="j finite and positive"):
+            doubling_penalty(u, v, j, 2.5)
+
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_s_must_be_finite_and_exceed_its_bound(self, s):
+        # s = inf warned of an invalid multiply in the Psi block, then
+        # returned a result
+        u, v = self._random_pair()
+        with pytest.raises(InvalidExponent, match="must be finite and exceed 2"):
+            doubling_penalty(u, v, 10.0, s)
 
     def test_grid_mismatch(self):
         u, _v, _pr = self._pair()
