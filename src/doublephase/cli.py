@@ -289,8 +289,7 @@ def parse_config(text, command=None, seed_override=None, out_override=None):
                     (line, "coefficient", "coefficient expression violates a(x) >= 0 on the grid")
                 )
             elif expr is not None:
-                d_for_expr = grid.dim if grid is not None else (dim or 2)
-                coeff = CoefficientField.analytic(expr, expr.gradient_callable(d_for_expr))
+                coeff = CoefficientField.analytic(expr)
         elif not np.isfinite(a0):
             reader.diags.append((line, "coefficient", f"constant coefficient is not finite: {raw_coeff}"))
         elif a0 < 0.0:

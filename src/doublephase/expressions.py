@@ -8,9 +8,10 @@
 
 Exponents are numeric literals (fractional and negative allowed); a
 fractional power of a negative base is a domain error at evaluation.
-Parsed expressions evaluate vectorized over points of shape (m, n) and
-differentiate symbolically, which supplies analytic coefficient
-gradients without finite differencing.
+Parsed expressions evaluate vectorized over points of shape (m, n);
+they are not differentiated. A coefficient that the operator tools
+need a gradient of comes from ``CoefficientField.analytic(func, grad)``
+with a caller-supplied gradient.
 """
 
 import re
@@ -27,9 +28,7 @@ _TOKEN = re.compile(
     r"|(?P<op>[-+*^()]))"
 )
 
-_FUNCTIONS = ("sin", "cos", "abs")
-# the parser's functions, and sign, which differentiating abs adds
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sign": np.sign}
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs}
 
 
 def _tokenize(text):
@@ -56,9 +55,6 @@ class _Num:
     def eval(self, pts):
         return np.full(pts.shape[0], self.value)
 
-    def diff(self, axis):
-        return _Num(0.0)
-
 
 class _Var:
     def __init__(self, axis):
@@ -68,9 +64,6 @@ class _Var:
         if pts.shape[1] <= self.axis:
             raise ValidationError("expression uses 'y' on a 1D domain")
         return pts[:, self.axis]
-
-    def diff(self, axis):
-        return _Num(1.0 if axis == self.axis else 0.0)
 
 
 class _Bin:
@@ -83,27 +76,15 @@ class _Add(_Bin):
     def eval(self, pts):
         return self.left.eval(pts) + self.right.eval(pts)
 
-    def diff(self, axis):
-        return _Add(self.left.diff(axis), self.right.diff(axis))
-
 
 class _Sub(_Bin):
     def eval(self, pts):
         return self.left.eval(pts) - self.right.eval(pts)
 
-    def diff(self, axis):
-        return _Sub(self.left.diff(axis), self.right.diff(axis))
-
 
 class _Mul(_Bin):
     def eval(self, pts):
         return self.left.eval(pts) * self.right.eval(pts)
-
-    def diff(self, axis):
-        return _Add(
-            _Mul(self.left.diff(axis), self.right),
-            _Mul(self.left, self.right.diff(axis)),
-        )
 
 
 class _Neg:
@@ -112,9 +93,6 @@ class _Neg:
 
     def eval(self, pts):
         return -self.arg.eval(pts)
-
-    def diff(self, axis):
-        return _Neg(self.arg.diff(axis))
 
 
 class _Pow:
@@ -133,15 +111,6 @@ class _Pow:
             )
         return b**r
 
-    def diff(self, axis):
-        r = self.exponent
-        if r == 0.0:
-            return _Num(0.0)
-        inner = self.base.diff(axis)
-        if r == 1.0:
-            return inner
-        return _Mul(_Mul(_Num(r), _Pow(self.base, r - 1.0)), inner)
-
 
 class _Fun:
     def __init__(self, name, arg):
@@ -150,16 +119,6 @@ class _Fun:
 
     def eval(self, pts):
         return _UFUNCS[self.name](self.arg.eval(pts))
-
-    def diff(self, axis):
-        inner = self.arg.diff(axis)
-        if self.name == "sin":
-            return _Mul(_Fun("cos", self.arg), inner)
-        if self.name == "cos":
-            return _Neg(_Mul(_Fun("sin", self.arg), inner))
-        if self.name == "abs":
-            return _Mul(_Fun("sign", self.arg), inner)
-        return _Num(0.0)  # sign, from differentiating abs
 
 
 class _Parser:
@@ -240,7 +199,7 @@ class _Parser:
                 return _Var(0)
             if val == "y":
                 return _Var(1)
-            if val in _FUNCTIONS:
+            if val in _UFUNCS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
@@ -254,12 +213,11 @@ class _Parser:
 
 
 class Expression:
-    """Compiled expression: vectorized evaluation plus exact partials."""
+    """Compiled expression, evaluated vectorized over points (m, n)."""
 
     def __init__(self, node, source):
         self._node = node
         self.source = source
-        self._partials = {}
 
     def __call__(self, pts):
         # a pole or an overflow gives inf or nan, not a warning: the callers'
@@ -267,20 +225,6 @@ class Expression:
         pts = np.asarray(pts, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return self._node.eval(pts)
-
-    def partial(self, axis):
-        if axis not in self._partials:
-            self._partials[axis] = Expression(self._node.diff(axis), f"d/d{'xy'[axis]} {self.source}")
-        return self._partials[axis]
-
-    def gradient_callable(self, dim):
-        parts = [self.partial(axis) for axis in range(dim)]
-
-        def grad(pts):
-            pts = np.asarray(pts, dtype=float)
-            return np.column_stack([p(pts) for p in parts])
-
-        return grad
 
 
 def compile_expression(text):

@@ -31,11 +31,12 @@ __all__ = [
 class CoefficientField:
     """Nonnegative modulating coefficient a(x).
 
-    Either a constant ``a0`` or a pair of closures for a(x) and its
-    gradient; it is constant exactly when it has no closure. Closures take
-    points of shape (m, n) and return (m,) respectively (m, n); the
-    gradient closure is required wherever the first-order term of the
-    expanded operator is evaluated. a(x) >= 0 is checked wherever a is
+    Either a constant ``a0`` or a closure for a(x) with an optional one
+    for its gradient; it is constant exactly when it has no closure.
+    Closures take points of shape (m, n) and return (m,) respectively
+    (m, n). Only the operator tools that evaluate the first-order term of
+    the expanded operator read the gradient; the CLI's expression
+    coefficients have none. a(x) >= 0 is checked wherever a is
     evaluated: a negative or non-finite value raises
     :class:`ValidationError`.
     """
@@ -83,8 +84,9 @@ class CoefficientField:
         if self.is_constant:
             out = np.zeros_like(pts)
         elif self._grad is None:
-            raise ValueError(
-                "coefficient gradient unavailable; supply an analytic gradient"
+            raise ValidationError(
+                "coefficient gradient unavailable; build the coefficient as "
+                "CoefficientField.analytic(func, grad)"
             )
         else:
             out = np.asarray(self._grad(pts), dtype=float).reshape(pts.shape)

@@ -319,7 +319,8 @@ def caccioppoli_study(spec, cutoffs, seed=0):
 def regularization_study(spec, epsilons, seed=0):
     """Solutions of -div A = eps against the eps = 0 limit.
 
-    Requires the stronger exponent bound q/p <= min{p, 1 + alpha/n}.
+    Requires the stronger exponent bound q/p <= min{p, 1 + alpha/n},
+    finite epsilons, and a node INTERIOR_DEPTH layers inside the boundary.
     Asserts nodal monotonicity in eps and strictly decreasing interior
     sup-distance; the gradient modular of the difference is reported.
     """
@@ -327,12 +328,16 @@ def regularization_study(spec, epsilons, seed=0):
     if not check:
         raise ValidationError(f"regularization study precondition failed: {check.message}")
     eps_list = [float(e) for e in epsilons]
-    if any(e <= 0.0 for e in eps_list) or any(
+    if not all(0.0 < e < np.inf for e in eps_list) or any(
         eps_list[i + 1] >= eps_list[i] for i in range(len(eps_list) - 1)
     ):
-        raise ValidationError("epsilons must be positive and strictly decreasing")
+        raise ValidationError("epsilons must be finite, positive and strictly decreasing")
     grid = spec.grid
     interior = grid.interior_depth_mask(INTERIOR_DEPTH)
+    if not interior.any():
+        raise ValidationError(
+            f"regularization study needs a node {INTERIOR_DEPTH} layers inside the boundary"
+        )
     u0, _ = solve_dirichlet(replace(spec, epsilon=0.0))
     rows = []
     prev = None

@@ -286,7 +286,7 @@ def quadratic_obstacle_solution(shape, spacing, a, eps, g, psi):
     return out
 
 
-def difference_jacobian(residual_at, values, nodes, neighbors, step=1e-7):
+def finite_difference_jacobian(residual_at, values, nodes, neighbors, step=1e-7):
     """Difference Jacobian of a nodal residual, and its one-sided spread.
 
     Entry [k, l] is about the derivative of ``residual_at(v, nodes[k])`` in

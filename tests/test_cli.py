@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,6 +10,7 @@ from doublephase.cli import _COMMANDS, main, parse_config
 from doublephase.errors import ParseError, ValidationError
 from doublephase.expressions import compile_expression
 from doublephase.grids import read_field
+from doublephase.viscosity import SecondOrderJet, nondiv_eval
 
 LINEAR_1D = """
 [run]
@@ -74,23 +75,18 @@ BETWEEN_NODES = "0.01 - sin(25.132741228718345*x)^2"
 
 
 def _grow(children):
-    """One grammar step over (text, abs arguments) pairs."""
+    """One grammar step over expression texts."""
     return st.one_of(
-        st.tuples(children, st.sampled_from("+-*"), children).map(
-            lambda t: (f"({t[0][0]} {t[1]} {t[2][0]})", t[0][1] + t[2][1])),
-        st.tuples(children, st.integers(0, 3)).map(lambda t: (f"({t[0][0]})^{t[1]}", t[0][1])),
-        children.map(lambda c: (f"-({c[0]})", c[1])),
-        st.tuples(st.sampled_from(["sin", "cos", "abs"]), children).map(
-            lambda t: (f"{t[0]}({t[1][0]})", t[1][1] + ((t[1][0],) if t[0] == "abs" else ()))),
+        st.tuples(children, st.sampled_from("+-*"), children).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda c: f"-({c})"),
+        st.tuples(st.sampled_from(["sin", "cos", "abs"]), children).map(lambda t: f"{t[0]}({t[1]})"),
     )
 
 
-# random expression trees of the grammar, each with the arguments of its abs calls
+# random expression trees of the grammar, as text
 expression_trees = st.recursive(
-    st.one_of(
-        st.sampled_from(["x", "y"]).map(lambda v: (v, ())),
-        st.floats(0.0, 3.0).map(lambda c: (format(c, ".4g"), ())),
-    ),
+    st.one_of(st.sampled_from(["x", "y"]), st.floats(0.0, 3.0).map(lambda c: format(c, ".4g"))),
     _grow,
     max_leaves=8,
 )
@@ -112,47 +108,20 @@ class TestExpressions:
         pts = np.array([[1.0, 1.0]])
         np.testing.assert_allclose(f(pts), [2.0**0.25])
 
-    def test_gradient_matches_finite_differences(self):
-        f = compile_expression("sin(2*x)*cos(y) + x^3 - 0.5*y^2")
-        grad = f.gradient_callable(2)
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-1, 1, size=(20, 2))
-        g = grad(pts)
-        h = 1e-6
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = h
-            fd = (f(pts + e) - f(pts - e)) / (2 * h)
-            np.testing.assert_allclose(g[:, axis], fd, atol=1e-8)
-
     @settings(max_examples=300)
     @given(expression_trees, hnp.arrays(float, (8, 2), elements=st.floats(-1.0, 1.0)))
-    def test_partials_match_central_differences(self, tree, pts):
-        text, kinks = tree
-        f = compile_expression(text)
-        h = 1e-4
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = h
-            stencil = [pts + k * e for k in (-2, -1, 1, 2)]
-            # abs only away from its kink: each argument keeps one sign, at
-            # least 1e-3 off zero, over the difference stencil
-            keep = np.ones(len(pts), dtype=bool)
-            for arg in kinks:
-                vals = np.array([compile_expression(arg)(x) for x in [pts] + stencil])
-                keep &= np.all(vals > 1e-3, axis=0) | np.all(vals < -1e-3, axis=0)
-
-            def central(step):
-                fm2, fm1, fp1, fp2 = (f(pts + k * step * e / h) for k in (-2, -1, 1, 2))
-                return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * step)
-
-            # fourth-order quotients; where the step does not resolve f,
-            # the two quotients disagree by 15 times the finer one's error
-            fine, coarse = central(h / 2), central(h)
-            exact = f.partial(axis)(pts)
-            scale = 1.0 + np.abs(f(pts)) + np.abs(exact)
-            bound = 1e-7 * scale + np.abs(coarse - fine)
-            assert np.all((np.abs(exact - fine) <= bound)[keep]), text
+    def test_evaluation_matches_python(self, text, pts):
+        # the same text read by Python: '^' as '**', the functions numpy's
+        # and the constants Python numbers, which raise OverflowError where
+        # the grammar's arrays give inf
+        names = {"x": pts[:, 0], "y": pts[:, 1], "sin": np.sin, "cos": np.cos, "abs": np.abs}
+        with np.errstate(all="ignore"):
+            try:
+                want = eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+            except OverflowError:
+                reject()
+        got = compile_expression(text)(pts)
+        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape), rtol=1e-12, atol=1e-12)
 
     def test_fractional_power_domain_guard(self):
         f = compile_expression("x^0.5")
@@ -263,6 +232,16 @@ class TestParseConfig:
         text = "[run]\ncommand = solve-var\n" + "\n".join(LINEAR_1D.splitlines()[3:]).format(out=".")
         with pytest.raises(ValidationError):
             parse_config(text, command="solve-visc")
+
+
+    def test_expression_coefficient_has_no_gradient(self):
+        # the operator tools read grad a, which only a caller-supplied
+        # gradient gives: parsed params raise the typed error naming it
+        text = SMALL_1D.replace("coefficient = 1.0", "coefficient = 1 + x")
+        params = parse_config(text, command="solve-var").spec.params
+        jet = SecondOrderJet(np.array([0.5]), np.array([1.0]), np.array([[-2.0]]))
+        with pytest.raises(ValidationError, match=r"CoefficientField\.analytic\(func, grad\)"):
+            nondiv_eval(params, jet)
 
 
 class TestMain:
@@ -418,6 +397,46 @@ class TestMain:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: the viscosity route requires a constant coefficient a(x)\n"
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        "solve-var", "solve-obstacle", "study:comparison", "study:caccioppoli",
+        "study:regularization", "study:obstacle-approximation",
+    ])
+    def test_expression_coefficient_runs(self, tmp_path, command):
+        # every command that takes a non-constant a evaluates a(x) only;
+        # study:comparison writes NaN in its viscosity column
+        study = "trials = 3\ncutoffs = 3\nlevels = 3\nepsilons = 0.1 0.01"
+        text = STUDY_TEMPLATE.format(dimension=2, study=study).replace(
+            "coefficient = 1.0", "coefficient = 0.6 + 0.4*x + 0.2*sin(3.141592653589793*y)^2")
+        if command == "solve-obstacle":
+            text = text.replace("[study]", "obstacle = -1 + 0*x\n[study]")
+        cfg = tmp_path / "expr.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) in (0, 3)
+        if command.startswith("study:"):
+            written = [f"run_{command[6:].replace('-', '_')}.csv"]
+        else:
+            written = ["run_report.csv", "run_solution.field"]
+        assert sorted(os.listdir(out)) == written
+
+    @pytest.mark.parametrize("dimension, nodes, study, reason", [
+        (2, "9 9", "epsilons = inf 0.1", "epsilons must be finite, positive and strictly decreasing"),
+        (2, "9 9", "epsilons = nan", "epsilons must be finite, positive and strictly decreasing"),
+        (2, "4 4", "", "regularization study needs a node 2 layers inside the boundary"),
+        (2, "5 4", "", "regularization study needs a node 2 layers inside the boundary"),
+        (2, "3 3", "", "regularization study needs a node 2 layers inside the boundary"),
+        (1, "4", "", "regularization study needs a node 2 layers inside the boundary"),
+    ], ids=["inf-epsilon", "nan-epsilon", "4x4", "5x4", "3x3", "1d-4"])
+    def test_regularization_study_input_exits_2(self, tmp_path, capsys, dimension, nodes, study, reason):
+        # refused before any solve: one error line and no table
+        cfg = tmp_path / "reg.cfg"
+        cfg.write_text(STUDY_TEMPLATE.format(dimension=dimension, study=study)
+                       .replace("nodes = 9 9", f"nodes = {nodes}").replace("0.5*x + 0.3*y", "0.5*x"))
+        out = tmp_path / "out"
+        assert main(["study:regularization", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
         assert not list(out.iterdir())
 
     def test_equivalence_with_exactly_agreeing_routes_exit_0(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from doublephase import studies
 from doublephase.errors import ValidationError
 from doublephase.grids import BoundaryData, Grid
 from doublephase.operators import CoefficientField, DoublePhaseParams
@@ -238,6 +239,33 @@ class TestRegularization:
         )
         with pytest.raises(ValidationError):
             regularization_study(spec, [1e-2, 1e-1])
+
+    @pytest.mark.parametrize("epsilons", [[np.inf, 1e-1], [np.nan], [1e-1, np.nan]],
+                             ids=["inf-first", "nan", "nan-second"])
+    def test_epsilons_must_be_finite(self, epsilons):
+        spec = ProblemSpec(
+            grid=Grid((9, 9)),
+            params=DoublePhaseParams(2.0, 2.5, coeff=CoefficientField.constant(1.0)),
+            boundary=smooth_bd(),
+        )
+        with pytest.raises(ValidationError, match="epsilons must be finite"):
+            regularization_study(spec, epsilons)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 4), (3, 3), (4,)], ids=["4x4", "5x4", "3x3", "1d-4"])
+    def test_needs_a_node_inside_the_interior_depth(self, shape, monkeypatch):
+        # refused before any solve; a grid of 5 nodes on every axis holds
+        # one node 2 layers inside and runs
+        def spec(shape):
+            bd = BoundaryData.from_callable(lambda pts: pts[:, 0])
+            params = DoublePhaseParams(2.0, 2.5, coeff=CoefficientField.constant(1.0))
+            return ProblemSpec(grid=Grid(shape), params=params, boundary=bd)
+
+        with monkeypatch.context() as m:
+            m.setattr(studies, "solve_dirichlet", None)
+            with pytest.raises(ValidationError, match="needs a node 2 layers inside the boundary"):
+                regularization_study(spec(shape), [1e-1, 1e-2])
+        table = regularization_study(spec(tuple(max(n, 5) for n in shape)), [1e-1, 1e-2])
+        assert len(table.rows) == 3
 
     def test_1d_values_match_flux_inversion_oracle(self):
         from oracles import flux_inversion_solution

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
     dense_from_band,
-    difference_jacobian,
     doubling_maximizer,
+    finite_difference_jacobian,
     radial_p_harmonic_jet,
     touch_loop,
 )
@@ -293,8 +293,8 @@ class TestFrozenSystem:
         def residual_at(values, node):
             return local_equation(NodalField(grid, values), pr, node, dv=dv)[0]
 
-        J_fd, spread = difference_jacobian(residual_at, field.values, interior,
-                                           lambda node: _neighbors(grid, node))
+        J_fd, spread = finite_difference_jacobian(residual_at, field.values, interior,
+                                                  lambda node: _neighbors(grid, node))
         # at a kink (the floor, a policy switch) within the step the Newton
         # matrix holds one one-sided derivative: half the spread off the mean
         scale = 1.0 + float(np.max(np.abs(J_fd)))
