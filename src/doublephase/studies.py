@@ -361,17 +361,22 @@ def regularization_study(spec, epsilons, seed=0):
 def obstacle_approximation_study(spec, target, levels, seed=0):
     """Monotone smooth-obstacle approximations against a target field.
 
+    Requires an element INTERIOR_DEPTH layers inside the boundary.
     Asserts the solutions increase with the level, stay below the
     target, keep uniformly bounded gradient modulars, and close the
     interior modular distance monotonically.
     """
     grid = spec.grid
+    inner = grid.interior_element_mask(INTERIOR_DEPTH)
+    if not inner.any():
+        raise ValidationError(
+            f"obstacle approximation study needs an element {INTERIOR_DEPTH} layers inside the boundary"
+        )
     pairs = approximation_sequence(spec, target, levels)
     if isinstance(target, NodalField):
         t_field = target
     else:
         t_field = interpolate(grid, target)
-    inner = grid.interior_element_mask(INTERIOR_DEPTH)
     rows = []
     prev = None
     for level, (_psi, u_j) in enumerate(pairs):

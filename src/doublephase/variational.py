@@ -25,14 +25,15 @@ evaluation.
 Where the Newton matrix has a wide band (half-bandwidth >= ``WIDE_BAND``,
 2D grids from 65 nodes across), one banded Cholesky factorization costs
 several Newton steps' worth of other work. There the loop keeps its
-factor for chord steps while they contract fast, and a Dirichlet solve
-whose half-resolution grid is wide too (from 129 nodes across) starts
+factor for chord steps while they contract fast, and the solve starts
 from the cubic interpolant of a coarse problem's solution (nested
 iteration): the quarter-resolution problem where the grid coarsens twice,
-the half-resolution one otherwise. Narrower bands run the plain loop, and
-every other solve starts from the Poisson warm start. So an obstacle
-that never touches gives the Dirichlet solve's steps bit for bit only
-where that solve takes no nested start.
+the half-resolution one otherwise. An obstacle solve nests on every wide
+band, a Dirichlet solve only where its half-resolution grid is wide too
+(from 129 nodes across). Narrower bands run the plain loop, and every
+other solve starts from the Poisson warm start. So an obstacle that
+never touches gives the Dirichlet solve's steps bit for bit only where
+neither solve nests (below 65 nodes across).
 """
 
 from dataclasses import dataclass, replace
@@ -114,8 +115,8 @@ class SolveReport:
     """What a solve achieved. ``energy`` is the variational route's
     discrete energy at delta = 0; viscosity reports carry NaN there.
     ``iterations`` and ``residual_history`` describe the requested grid
-    only: a Dirichlet solve that started from a coarser solve names
-    that solve in ``notes`` (``warm start: 33x33 solve``)."""
+    only: a solve that started from a coarser solve names that solve in
+    ``notes`` (``warm start: 33x33 solve``)."""
 
     converged: bool
     iterations: int
@@ -407,11 +408,12 @@ def _newton(asm, u, delta, tol, history, energies):
 def _solve(spec, newton_tol):
     """Minimize the energy over u >= psi (the Dirichlet problem is
     psi = -inf) by projected Newton at the delta of ``DELTA_SCHEDULE``,
-    from the nested start of :func:`solve_dirichlet` or else
-    :func:`grids.poisson_start`, lifted onto psi. If that loop fails,
-    restart from the same start and walk ``RESTART_DELTAS`` down to it, as
-    the viscosity route walks its gradient floors. Returns (field, report),
-    the report's ``residual_norm`` the loop's own last measure; raises
+    from the nested start of :func:`solve_dirichlet` and
+    :func:`solve_obstacle` or else :func:`grids.poisson_start`, lifted
+    onto psi. If that loop fails, restart from the same start and walk
+    ``RESTART_DELTAS`` down to it, as the viscosity route walks its
+    gradient floors. Returns (field, report), the report's
+    ``residual_norm`` the loop's own last measure; raises
     :class:`NonConvergence` with the field and a failed report when a
     restarted level fails or the contact set is not complementarity-clean.
     The nested start recurses here, not through the public name, so that a
@@ -429,18 +431,21 @@ def _solve(spec, newton_tol):
     # coarsening halves a 2D band (nx - 1), and a 1D band (1) is never wide;
     # the half-resolution solve is skipped where its grid coarsens, as the
     # fine loop takes no more factorizations from a quarter-resolution
-    # start. Obstacle solves do not nest: their coarse levels cost more
-    # than the fine steps they save (ROADMAP.md, baseline)
-    levels, wide = [grid], spec.obstacle is None and asm.pattern.bw >= 2 * WIDE_BAND
+    # start. An obstacle solve nests from a wide band, where its contact set
+    # shrinks a ring of nodes per factored step from the Poisson start; a
+    # Dirichlet solve factors a few times there and nests from twice that band
+    levels, wide = [grid], asm.pattern.bw >= (WIDE_BAND if spec.obstacle is not None else 2 * WIDE_BAND)
     while wide and len(levels) < 3 and all(n % 2 and n >= 5 for n in levels[-1].shape):
         levels.append(levels[-1].coarsen())
     if len(levels) > 1:
         coarse = levels[-1]
         nodal = np.zeros(grid.n_nodes)
         nodal[grid.boundary_idx] = g_values
-        stride = slice(None, None, 2 ** (len(levels) - 1))
-        sub = nodal.reshape(grid.shape[::-1])[(stride,) * grid.dim].reshape(-1)
-        coarse_spec = replace(spec, grid=coarse, boundary=BoundaryData.from_values(sub[coarse.boundary_idx]))
+        stride = (slice(None, None, 2 ** (len(levels) - 1)),) * grid.dim
+        inject = lambda values: values.reshape(grid.shape[::-1])[stride].reshape(-1)
+        psi = None if spec.obstacle is None else NodalField(coarse, inject(asm.psi))
+        coarse_spec = replace(spec, grid=coarse, obstacle=psi,
+                              boundary=BoundaryData.from_values(inject(nodal)[coarse.boundary_idx]))
         try:
             start = _solve(coarse_spec, newton_tol)[0].values
         except (NonConvergence, LinearSolveFailure):
@@ -550,7 +555,11 @@ def solve_obstacle(spec, newton_tol=NEWTON_TOL):
     Dirichlet data come from ``spec.boundary`` when present, else from
     the obstacle trace. The solution satisfies u >= psi everywhere,
     solves the equation where u > psi, and is a discrete supersolution
-    on the contact set.
+    on the contact set. On a wide band (2D grids from 65 nodes across),
+    where from the Poisson start the contact set shrinks by about a ring
+    of nodes per factored step, the loop starts as :func:`solve_dirichlet`
+    does from 129 across, here from the obstacle problem with psi too at
+    the coarse nodes (65^2 from 17^2, 65 x 5 from 33 x 3).
     """
     if spec.obstacle is None:
         raise ValidationError("solve_obstacle needs an obstacle")

@@ -439,6 +439,25 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {reason}\n"
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("dimension, nodes, runs", [
+        (2, "4 4", False), (2, "5 5", False), (2, "6 5", False), (1, "5", False), (2, "6 6", True), (1, "6", True),
+    ], ids=["4x4", "5x5", "6x5", "1d-5", "6x6", "1d-6"])
+    def test_obstacle_approximation_study_needs_an_inner_element(self, tmp_path, capsys, dimension, nodes, runs):
+        # with no element 2 layers inside the boundary (fewer than 6 nodes
+        # on some axis) every interior modular distance would read 0: one
+        # error line and no table
+        cfg = tmp_path / "obs.cfg"
+        cfg.write_text(STUDY_TEMPLATE.format(dimension=dimension, study="levels = 3")
+                       .replace("nodes = 9 9", f"nodes = {nodes}").replace("0.5*x + 0.3*y", "0.5*x"))
+        out = tmp_path / "out"
+        code = main(["study:obstacle-approximation", "--config", str(cfg), "--out", str(out)])
+        if runs:
+            assert code in (0, 3) and sorted(os.listdir(out)) == ["run_obstacle_approximation.csv"]
+        else:
+            assert code == 2 and not list(out.iterdir())
+            reason = "obstacle approximation study needs an element 2 layers inside the boundary"
+            assert capsys.readouterr().err == f"error: {reason}\n"
+
     def test_equivalence_with_exactly_agreeing_routes_exit_0(self, tmp_path, capsys):
         # affine data: both routes stay at the Poisson start, so every route
         # gap is exactly 0, which counts as not increasing

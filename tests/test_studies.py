@@ -306,6 +306,26 @@ class TestObstacleApproximation:
         assert table.verdict
         assert all(abs(row[2]) <= 1e-9 for row in table.rows)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 5), (6, 5), (3, 3), (5,)],
+                             ids=["4x4", "5x5", "6x5", "3x3", "1d-5"])
+    def test_needs_an_element_inside_the_interior_depth(self, shape, monkeypatch):
+        # refused before any solve: with fewer than 6 nodes on some axis no
+        # element lies 2 layers inside, and every interior modular distance
+        # would read 0. With 6 nodes on every axis the study runs, and the
+        # distances are not all 0
+        def spec(shape):
+            bd = BoundaryData.from_callable(lambda pts: pts[:, 0])
+            params = DoublePhaseParams(2.0, 2.5, coeff=CoefficientField.constant(1.0))
+            return ProblemSpec(grid=Grid(shape), params=params, boundary=bd)
+
+        target = lambda pts: np.sin(3.0 * pts[:, 0])
+        with monkeypatch.context() as m:
+            m.setattr(studies, "approximation_sequence", None)
+            with pytest.raises(ValidationError, match="needs an element 2 layers inside the boundary"):
+                obstacle_approximation_study(spec(shape), target, 3)
+        table = obstacle_approximation_study(spec(tuple(max(n, 6) for n in shape)), target, 3)
+        assert len(table.rows) == 3 and max(row[4] for row in table.rows) > 0.0
+
     @pytest.mark.xfail(strict=True, reason="known defect KD-2: a level exceeds the target")
     def test_2d_nonlinear_target(self):
         # the third level of five exceeds the solved target by 2.1e-5 and the

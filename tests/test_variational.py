@@ -394,8 +394,8 @@ class TestOneSolvePath:
     def test_far_obstacle_solve_is_the_dirichlet_solve(self, spec):
         # the Dirichlet problem is the obstacle problem with psi = -inf; an
         # obstacle far below the data never touches, so both solves take
-        # the same steps bit for bit (on these grids, below 129 across, no
-        # Dirichlet solve starts nested)
+        # the same steps bit for bit (on these grids, below 65 across,
+        # neither solve starts nested)
         u, rep = solve_dirichlet(spec)
         low = float(np.min(spec.boundary.values_on(spec.grid))) - 1e3
         v, rep_obstacle = solve_obstacle(
@@ -406,6 +406,20 @@ class TestOneSolvePath:
         assert rep_obstacle.residual_history == rep.residual_history
         assert rep_obstacle.energy_history == rep.energy_history
         assert rep_obstacle.active_set_size == 0
+
+    @pytest.mark.parametrize("p,q,a0,eps", [(2.5, 3.0, 1.0, 0.0), (1.5, 1.8, 0.7, 0.5)])
+    def test_far_obstacle_solve_nests_to_the_dirichlet_solution(self, p, q, a0, eps):
+        # at 65^2 the obstacle solve starts from the 17^2 obstacle solve and
+        # the Dirichlet solve from the Poisson start: different steps, the
+        # same solution
+        g = Grid((65, 65))
+        spec = ProblemSpec(grid=g, params=const_params(p, q, a0=a0), boundary=smooth_bd(), epsilon=eps)
+        u, rep = solve_dirichlet(spec)
+        v, rep_obstacle = solve_obstacle(replace(spec, obstacle=NodalField(g, np.full(g.n_nodes, -1e3))))
+        assert rep.converged and rep.notes == ""
+        assert rep_obstacle.converged and rep_obstacle.notes == "warm start: 17x17 solve"
+        assert rep_obstacle.active_set_size == 0
+        assert np.max(np.abs(v.values - u.values)) <= 1e-12
 
 
 @st.composite
@@ -421,6 +435,41 @@ def nested_cases(draw):
         boundary=BoundaryData.from_callable(trig_series(draw(st.integers(0, 2 ** 32 - 1)), 2)),
     )
     return spec, {5: "65x3", 7: "65x4", 9: "33x3"}[rows]
+
+
+def wide_band_obstacle_spec():
+    """A bump obstacle on 65 x 5, a grid with a wide band, under the smooth
+    datum and 0.01 below it on the boundary."""
+    g = Grid((65, 5))
+    x = g.coords
+    psi = 0.8 - ((x[:, 0] - 0.5) ** 2 + 0.2 * (x[:, 1] - 0.5) ** 2) / 0.18
+    psi[g.boundary_idx] = np.minimum(psi[g.boundary_idx], smooth_bd().values_on(g) - 0.01)
+    return ProblemSpec(grid=g, params=const_params(2.5, 3.0), boundary=smooth_bd(), obstacle=NodalField(g, psi))
+
+
+@st.composite
+def nested_obstacle_cases(draw):
+    """A 65 x {5, 7, 9} grid, an acceptance regime, eps in {0, 1/2} and an
+    obstacle built on a seeded trig series: a random bump under the series
+    as boundary data, or the series' quadratic envelope at a random radius,
+    whose trace is the boundary data; with the grid whose obstacle solve
+    starts the loop: 9 rows coarsen twice (17 x 3), 7 and 5 rows once."""
+    rows = draw(st.sampled_from([5, 7, 9]))
+    grid = Grid((65, rows))
+    x, bnd = grid.coords, grid.boundary_idx
+    p, q, a0 = draw(st.sampled_from([(2.5, 3.0, 1.0), (1.5, 1.8, 0.7), (1.6, 2.2, 0.8)]))
+    data = trig_series(draw(st.integers(0, 2 ** 32 - 1)), 2)(x)
+    if draw(st.booleans()):
+        top, cx, width = draw(st.floats(0.0, 0.5)), draw(st.floats(0.2, 0.8)), draw(st.floats(0.05, 0.3))
+        psi = np.max(data) + top - ((x[:, 0] - cx) ** 2 + 0.2 * (x[:, 1] - 0.5) ** 2) / width
+        psi[bnd] = np.minimum(psi[bnd], data[bnd] - 0.01)
+        boundary = BoundaryData.from_values(data[bnd])
+    else:  # the radii of approximation_sequence span diam^2 / 2 to (2h)^2 / 2 over the oscillation
+        radius = draw(st.floats(0.5 * (2.0 / 64) ** 2, 0.5 * grid.diameter ** 2)) / np.ptp(data)
+        psi, boundary = _quadratic_lower_envelope(grid, data, radius), None
+    spec = ProblemSpec(grid=grid, params=const_params(p, q, a0=a0), epsilon=draw(st.sampled_from([0.0, 0.5])),
+                       boundary=boundary, obstacle=NodalField(grid, psi))
+    return spec, {5: "33x3", 7: "33x4", 9: "17x3"}[rows]
 
 
 class TestSolveDirichlet:
@@ -992,27 +1041,25 @@ class TestSolveObstacle:
         assert 0 < rep.active_set_size < len(g.interior_idx)
 
     def test_wide_band_obstacle_reuses_factors(self, monkeypatch):
-        # 65 x 5 has a wide band: the loop takes chord steps, refactors
-        # where the contact set moved since the factor, and closes with a
-        # chain of chord steps; with WIDE_BAND above every band it runs the
-        # plain loop to the same field
-        g = Grid((65, 5))
-        x = g.coords
-        psi = 0.8 - ((x[:, 0] - 0.5) ** 2 + 0.2 * (x[:, 1] - 0.5) ** 2) / 0.18
-        psi[g.boundary_idx] = np.minimum(psi[g.boundary_idx], smooth_bd().values_on(g) - 0.01)
-        spec = ProblemSpec(grid=g, params=const_params(2.5, 3.0), boundary=smooth_bd(),
-                           obstacle=NodalField(g, psi))
+        # 65 x 5 has a wide band: the loop starts from the 33 x 3 obstacle
+        # solve, takes chord steps, refactors where the contact set moved
+        # since the factor, and closes with a chain of chord steps; with
+        # WIDE_BAND above every band it runs the plain loop to the same
+        # field, with at least twice the 65 x 5 factorizations
+        spec = wide_band_obstacle_spec()
+        g, psi = spec.grid, spec.obstacle.values
         factors = []
         factor = InteriorPattern.factor
 
         def counting_factor(self, band, state):
-            factors.append(state)
+            factors.append(self.grid.shape)
             return factor(self, band, state)
 
         monkeypatch.setattr(InteriorPattern, "factor", counting_factor)
         u, rep = solve_obstacle(spec)
-        reused = len(factors)
+        reused = factors.count(g.shape)
         assert rep.converged and 0 < rep.active_set_size < len(g.interior_idx)
+        assert rep.notes == "warm start: 33x3 solve"
         assert np.min(u.values - psi) >= 0.0
         max_off_contact, min_on_contact = complementarity_summary(u, spec)
         assert max_off_contact <= 1e-12 and min_on_contact >= 0.0
@@ -1020,7 +1067,41 @@ class TestSolveObstacle:
         factors.clear()
         monkeypatch.setattr(variational, "WIDE_BAND", 10 ** 9)
         v, plain = solve_obstacle(spec)
-        assert plain.converged and reused < len(factors)
+        assert plain.converged and plain.notes == "" and set(factors) == {g.shape}
+        assert 2 * reused <= len(factors)  # 7 of 14 here
+        assert np.max(np.abs(u.values - v.values)) <= 1e-10
+
+    @settings(max_examples=40)
+    @given(nested_obstacle_cases())
+    def test_nested_obstacle_start_matches_the_plain_loop(self, case):
+        spec, coarse = case
+        u, rep = solve_obstacle(spec)
+        assert rep.converged and rep.notes == f"warm start: {coarse} solve"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variational, "WIDE_BAND", 10 ** 9)
+            v, plain = solve_obstacle(spec)
+        assert plain.converged and plain.notes == ""
+        assert np.max(np.abs(u.values - v.values)) <= 1e-10
+
+    def test_failed_coarse_obstacle_solve_falls_back_to_the_poisson_start(self, monkeypatch):
+        spec = wide_band_obstacle_spec()
+        g = spec.grid
+        inner = variational._solve
+        coarse = []
+
+        def failing(sub, newton_tol):
+            if sub.grid.shape != g.shape:
+                coarse.append(sub.grid.shape)
+                raise NonConvergence("coarse solve failed", field=None, report=None)
+            return inner(sub, newton_tol)
+
+        monkeypatch.setattr(variational, "_solve", failing)
+        u, rep = solve_obstacle(spec)
+        assert coarse == [(33, 3)]
+        assert rep.converged and rep.notes == "" and rep.active_set_size > 0
+        monkeypatch.setattr(variational, "_solve", inner)
+        v, nested = solve_obstacle(spec)
+        assert nested.notes == "warm start: 33x3 solve"
         assert np.max(np.abs(u.values - v.values)) <= 1e-10
 
     def test_infeasible_obstacle(self):
